@@ -7,8 +7,9 @@
 // lower; the orderings are the reproduced shape.)
 //
 // The second section measures the batched serving fast path
-// (DESIGN.md §8): flat-forest RF, tiled KNN and the canonical-text
-// embedding cache against their scalar reference implementations,
+// (DESIGN.md §8): flat-forest RF, the KNN spatial index and the
+// canonical-text embedding cache against the reference implementations
+// in tests/reference/ (scalar RF, scalar and tiled KNN scans),
 // single-threaded so the ratio reflects the kernels and not core count.
 // With --json the headline metrics become the BENCH_inference.json
 // artifact gated by tools/bench_check in the bench-smoke CI job.
@@ -21,6 +22,7 @@
 #include "ml/random_forest.hpp"
 #include "obs/perf/counters.hpp"
 #include "obs/trace.hpp"
+#include "reference/reference.hpp"
 #include "text/embedding_cache.hpp"
 
 namespace {
@@ -70,28 +72,27 @@ void run_fast_path_section(const WorkloadConfig& workload_config,
 
   RandomForestClassifier rf(bench::paper_rf_config(rf_trees));
   rf.fit(train_x.view(), train_y);
-  // Brute-force reference: the tiled scan with the spatial index
-  // disabled, so knn_batch_speedup keeps measuring the PR 3 kernel.
-  KnnConfig scan_config;
-  scan_config.index.mode = KnnIndexMode::kNone;
-  KnnClassifier knn(scan_config);
-  knn.fit(train_x.view(), train_y);
-  // Index-backed path (default config: bounding-box tree over the
-  // deduplicated training rows, DESIGN.md §11).
+  // The production path: bounding-box tree over the deduplicated
+  // training rows (DESIGN.md §11).
   KnnClassifier knn_indexed;
   knn_indexed.fit(train_x.view(), train_y);
 
   constexpr int kReps = 3;
+  const auto train = train_x.view();
   const auto qview = query_x.view();
-  const double rf_scalar_s = bench::best_of(kReps, [&] { rf.predict_scalar(qview); });
+  const auto knn_scalar = [&] { return reference::knn_predict_scalar(train, train_y, qview); };
+  const auto knn_tiled = [&] { return reference::knn_predict_tiled(train, train_y, qview); };
+  const double rf_scalar_s =
+      bench::best_of(kReps, [&] { reference::rf_predict_scalar(rf, qview); });
   const double rf_batched_s = bench::best_of(kReps, [&] { rf.predict(qview); });
-  const double knn_scalar_s = bench::best_of(kReps, [&] { knn.predict_scalar(qview); });
-  const double knn_batched_s = bench::best_of(kReps, [&] { knn.predict(qview); });
+  const double knn_scalar_s = bench::best_of(kReps, knn_scalar);
+  const double knn_batched_s = bench::best_of(kReps, knn_tiled);
   const double knn_index_s = bench::best_of(kReps, [&] { knn_indexed.predict(qview); });
-  const bool rf_match = rf.predict(qview) == rf.predict_scalar(qview);
-  const bool knn_match = knn.predict(qview) == knn.predict_scalar(qview);
+  const bool rf_match = rf.predict(qview) == reference::rf_predict_scalar(rf, qview);
+  const auto knn_scalar_labels = knn_scalar();
+  const bool knn_match = knn_tiled() == knn_scalar_labels;
   // The index contract is bit-identical labels against the scalar scan.
-  const bool knn_index_match = knn_indexed.predict(qview) == knn.predict_scalar(qview);
+  const bool knn_index_match = knn_indexed.predict(qview) == knn_scalar_labels;
 
   // Encoding: cold = hash every job; cached = recurring canonical
   // feature strings served from the sharded LRU (warmed by one pass).
@@ -132,8 +133,7 @@ void run_fast_path_section(const WorkloadConfig& workload_config,
   std::snprintf(speedup_s, sizeof(speedup_s), "x%.2f", encode_speedup);
   table.add_row({"encode (LRU cache)", scalar_s, batched_s, speedup_s, "-"});
   std::printf("%s\n", table.render().c_str());
-  std::printf("index: mode=%s rows=%zu unique=%zu nodes=%zu leaves=%zu\n\n",
-              knn_index_mode_name(index_stats.mode), index_stats.rows,
+  std::printf("index: rows=%zu unique=%zu nodes=%zu leaves=%zu\n\n", index_stats.rows,
               index_stats.unique_rows, index_stats.nodes, index_stats.leaves);
 
   report.set("rf_batch_speedup", rf_speedup);

@@ -13,6 +13,7 @@
 #include "ml/knn.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/trace.hpp"
+#include "reference/reference.hpp"
 #include "roofline/characterizer.hpp"
 #include "text/embedding_cache.hpp"
 #include "workload/generator.hpp"
@@ -72,8 +73,7 @@ struct TrainedModels {
   FeatureMatrix batch{0, 0};  ///< 512-row slice for the batched kernels
   ClassificationModel knn{ModelKind::kKnn};
   ClassificationModel rf{ModelKind::kRandomForest};
-  RandomForestClassifier rf_raw;  ///< concrete handles expose the scalar
-  KnnClassifier knn_raw;          ///< reference paths for comparison (index off)
+  RandomForestClassifier rf_raw;  ///< concrete handle for the reference RF path
   KnnClassifier knn_indexed;      ///< pruned spatial index (DESIGN.md §11)
 
   TrainedModels() {
@@ -94,12 +94,6 @@ struct TrainedModels {
     rf.training(train_x.view(), train_y);
     rf_raw = RandomForestClassifier(rf_config);
     rf_raw.fit(train_x.view(), train_y);
-    // knn_raw must stay a pure scan so the BatchScalar/BatchTiled
-    // benchmarks keep measuring the kernels, not the index.
-    KnnConfig scan_config;
-    scan_config.index.mode = KnnIndexMode::kNone;
-    knn_raw = KnnClassifier(scan_config);
-    knn_raw.fit(train_x.view(), train_y);
     knn_indexed.fit(train_x.view(), train_y);
     query = FeatureMatrix(1, encoder.dim());
     const auto source = train_x.view().row(7);
@@ -124,7 +118,7 @@ void BM_KnnInference(benchmark::State& state) {
     benchmark::DoNotOptimize(m.knn.inference(m.query.view()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel("scan over 4000x384 train matrix");
+  state.SetLabel("spatial index over 4000x384 train matrix");
 }
 BENCHMARK(BM_KnnInference);
 
@@ -143,7 +137,7 @@ BENCHMARK(BM_RfInference);
 void BM_RfInferenceBatchScalar(benchmark::State& state) {
   auto& m = models();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.rf_raw.predict_scalar(m.batch.view()));
+    benchmark::DoNotOptimize(reference::rf_predict_scalar(m.rf_raw, m.batch.view()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * m.batch.view().rows));
   state.SetLabel("bin + per-row tree recursion");
@@ -163,7 +157,8 @@ BENCHMARK(BM_RfInferenceBatchFlat);
 void BM_KnnInferenceBatchScalar(benchmark::State& state) {
   auto& m = models();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.knn_raw.predict_scalar(m.batch.view()));
+    benchmark::DoNotOptimize(
+        reference::knn_predict_scalar(m.train_x.view(), m.train_y, m.batch.view()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * m.batch.view().rows));
   state.SetLabel("serial-reduction dot scan");
@@ -173,7 +168,8 @@ BENCHMARK(BM_KnnInferenceBatchScalar);
 void BM_KnnInferenceBatchTiled(benchmark::State& state) {
   auto& m = models();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.knn_raw.predict(m.batch.view()));
+    benchmark::DoNotOptimize(
+        reference::knn_predict_tiled(m.train_x.view(), m.train_y, m.batch.view()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * m.batch.view().rows));
   state.SetLabel("tiled scan, 4-accumulator dot");

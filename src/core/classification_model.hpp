@@ -58,8 +58,7 @@ class ClassificationModel {
   const Classifier& classifier() const noexcept { return *classifier_; }
 
   /// Stats of the KNN spatial index (DESIGN.md §11) serving this model's
-  /// queries, or nullptr when the model is not KNN or answers through
-  /// the brute-force scan (index disabled, p != 2, or below min_rows).
+  /// queries, or nullptr when the model is not a fitted p = 2 KNN.
   const KnnIndexStats* knn_index_stats() const noexcept;
 
   bool save(std::ostream& out) const { return classifier_->save(out); }

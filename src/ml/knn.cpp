@@ -1,11 +1,10 @@
 #include "ml/knn.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "ml/knn_kernels.hpp"
 #include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/annotations.hpp"
@@ -30,7 +29,7 @@ KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
 
 void KnnClassifier::fit(FeatureView x, std::span<const Label> y) {
   if (x.rows != y.size()) throw std::invalid_argument("knn: rows/labels mismatch");
-  if (x.rows == 0) throw std::invalid_argument("knn: empty training set");
+  if (x.empty()) throw std::invalid_argument("knn: empty training set");
   dim_ = x.cols;
   train_data_.assign(x.data, x.data + x.rows * x.cols);
   labels_.assign(y.begin(), y.end());
@@ -39,91 +38,39 @@ void KnnClassifier::fit(FeatureView x, std::span<const Label> y) {
     if (l < 0) throw std::invalid_argument("knn: negative label");
     n_classes_ = std::max(n_classes_, static_cast<std::size_t>(l) + 1);
   }
-  train_norms_.resize(x.rows);
-  for (std::size_t i = 0; i < x.rows; ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
   rebuild_index();
 }
 
 void KnnClassifier::rebuild_index() {
+  // The tree accelerates the p = 2 dot-product algebra only; general p
+  // keeps the Minkowski scan.
   index_.clear();
-  // The index only accelerates the p = 2 dot-product algebra, and its
-  // traversal overhead beats the scan only past min_rows. build() can
-  // also refuse (non-finite training data); every predict then simply
-  // takes the scan, so the index is strictly opportunistic.
-  if (config_.index.mode == KnnIndexMode::kNone) return;
-  if (config_.minkowski_p != 2.0) return;
-  if (labels_.size() < config_.index.min_rows) return;
-  index_.build(FeatureView{train_data_.data(), labels_.size(), dim_}, config_.index);
-}
-
-MCB_HOT_PATH void KnnClassifier::top_k_scan(std::span<const float> query,
-                                            std::vector<std::size_t>& idx,
-                                            std::vector<double>& dist) const {
-  const std::size_t n = labels_.size();
-  TopK top(idx, dist, std::min(config_.k, n));
-
   if (config_.minkowski_p == 2.0) {
-    // Squared-distance scan via dot products (monotone in the true
-    // distance, so ranking is unaffected; query norm is constant across
-    // rows and omitted).
-    float dots[kScanTile];
-    for (std::size_t base = 0; base < n; base += kScanTile) {
-      const std::size_t rows = std::min(kScanTile, n - base);
-      tile_dots(train_data_.data() + base * dim_, rows, dim_, query.data(), dots);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double d =
-            static_cast<double>(train_norms_[base + i]) - 2.0 * static_cast<double>(dots[i]);
-        top.consider(base + i, d);
-      }
-    }
-  } else {
-    const double p = config_.minkowski_p;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = train_data_.data() + i * dim_;
-      double sum = 0.0;
-      for (std::size_t j = 0; j < dim_; ++j) {
-        sum += std::pow(std::abs(static_cast<double>(row[j]) - query[j]), p);
-      }
-      top.consider(i, sum);  // comparing sums ~ comparing p-th roots
-    }
+    index_.build(FeatureView{train_data_.data(), labels_.size(), dim_});
   }
 }
 
-MCB_HOT_PATH void KnnClassifier::top_k_fast(std::span<const float> query,
-                                            std::vector<std::size_t>& idx,
-                                            std::vector<double>& dist) const {
-  // Index first; any query it cannot serve exactly (not ready, or
-  // non-finite features outside the pruning algebra) takes the scan.
-  if (index_.ready() && index_.search(query, config_.k, idx, dist)) return;
-  top_k_scan(query, idx, dist);
-}
-
-MCB_HOT_PATH void KnnClassifier::top_k_scan_scalar(std::span<const float> query,
-                                                   std::vector<std::size_t>& idx,
-                                                   std::vector<double>& dist) const {
+MCB_HOT_PATH void KnnClassifier::top_k(std::span<const float> query,
+                                       std::vector<std::size_t>& idx,
+                                       std::vector<double>& dist) const {
+  if (config_.minkowski_p == 2.0) {
+    // Fitted (so the tree is built) and width-checked by every caller,
+    // so the search always serves. Were it to refuse, it empties `idx`
+    // and vote() reads no row.
+    [[maybe_unused]] const bool served = index_.search(query, config_.k, idx, dist);
+    assert(served && "knn: index refused a fitted, width-checked query");
+    return;
+  }
   const std::size_t n = labels_.size();
   TopK top(idx, dist, std::min(config_.k, n));
-
-  if (config_.minkowski_p == 2.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = train_data_.data() + i * dim_;
-      float dot = 0.0F;
-      for (std::size_t j = 0; j < dim_; ++j) dot += row[j] * query[j];
-      const double d = static_cast<double>(train_norms_[i]) - 2.0 * static_cast<double>(dot);
-      top.consider(i, d);
+  const double p = config_.minkowski_p;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* row = train_data_.data() + i * dim_;
+    double sum = 0.0;
+    for (std::size_t j = 0; j < dim_; ++j) {
+      sum += std::pow(std::abs(static_cast<double>(row[j]) - query[j]), p);
     }
-  } else {
-    const double p = config_.minkowski_p;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = train_data_.data() + i * dim_;
-      double sum = 0.0;
-      for (std::size_t j = 0; j < dim_; ++j) {
-        sum += std::pow(std::abs(static_cast<double>(row[j]) - query[j]), p);
-      }
-      top.consider(i, sum);
-    }
+    top.consider(i, sum);  // comparing sums ~ comparing p-th roots
   }
 }
 
@@ -143,15 +90,10 @@ Label KnnClassifier::vote(std::span<const std::size_t> idx) const {
   return best;
 }
 
-MCB_HOT_PATH Label KnnClassifier::predict_one(std::span<const float> query,
-                                              bool scalar) const {
+MCB_HOT_PATH Label KnnClassifier::predict_one(std::span<const float> query) const {
   thread_local std::vector<std::size_t> idx;
   thread_local std::vector<double> dist;
-  if (scalar) {
-    top_k_scan_scalar(query, idx, dist);
-  } else {
-    top_k_fast(query, idx, dist);
-  }
+  top_k(query, idx, dist);
   return vote(idx);
 }
 
@@ -160,36 +102,17 @@ std::vector<Label> KnnClassifier::predict(FeatureView x, ThreadPool* pool) const
   if (x.cols != dim_) throw std::invalid_argument("knn: query dimension mismatch");
   std::vector<Label> out(x.rows, 0);
   parallel_for_each(
-      pool, 0, x.rows,
-      [&](std::size_t i) { out[i] = predict_one(x.row(i), /*scalar=*/false); },
-      /*grain=*/8);
-  return out;
-}
-
-std::vector<Label> KnnClassifier::predict_scalar(FeatureView x, ThreadPool* pool) const {
-  if (!is_fitted()) throw std::logic_error("knn: predict before fit");
-  if (x.cols != dim_) throw std::invalid_argument("knn: query dimension mismatch");
-  std::vector<Label> out(x.rows, 0);
-  parallel_for_each(
-      pool, 0, x.rows,
-      [&](std::size_t i) { out[i] = predict_one(x.row(i), /*scalar=*/true); },
+      pool, 0, x.rows, [&](std::size_t i) { out[i] = predict_one(x.row(i)); },
       /*grain=*/8);
   return out;
 }
 
 std::vector<std::size_t> KnnClassifier::kneighbors(std::span<const float> query) const {
   if (!is_fitted()) throw std::logic_error("knn: kneighbors before fit");
+  if (query.size() != dim_) throw std::invalid_argument("knn: query dimension mismatch");
   std::vector<std::size_t> idx;
   std::vector<double> dist;
-  top_k_fast(query, idx, dist);
-  return idx;
-}
-
-std::vector<std::size_t> KnnClassifier::kneighbors_scalar(std::span<const float> query) const {
-  if (!is_fitted()) throw std::logic_error("knn: kneighbors before fit");
-  std::vector<std::size_t> idx;
-  std::vector<double> dist;
-  top_k_scan_scalar(query, idx, dist);
+  top_k(query, idx, dist);
   return idx;
 }
 
@@ -247,10 +170,6 @@ bool KnnClassifier::load(std::istream& in) {
   n_classes_ = static_cast<std::size_t>(n_classes);
   train_data_ = std::move(train_data);
   labels_ = std::move(labels);
-  train_norms_.resize(labels_.size());
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
   rebuild_index();
   return true;
 }

@@ -5,27 +5,15 @@
 // class id. Training only stores the data ("just building a model
 // instance", §V-C); all the work happens at inference.
 //
-// The inner loop is a blocked brute-force scan. For p = 2 we expand
-// ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2 and precompute the training-row
-// norms, turning the scan into a pure GEMV-shaped dot-product sweep.
-// The fast kernel (ml/knn_kernels.hpp) walks the training matrix in row
-// tiles and computes each dot with four independent float accumulators:
-// a naive serial reduction is a single FP-add dependence chain the
-// compiler may not legally vectorize (float addition is not
-// associative), so breaking it into four chains pipelines the add
-// latency and unlocks SLP vectorization. The tile's distances land in a
-// small buffer before the top-k insertion runs, keeping the hot loop
-// branch-free. For general p the direct Minkowski sum is used. Queries
-// are embarrassingly parallel across the thread pool. The scalar
-// reference scan is kept (and exposed) so tests can assert the tiled
-// kernel returns identical neighbor indices.
-//
-// On top of the scan sits an optional pruned spatial index
-// (ml/knn_index.hpp): fit()/load() build it when the training set
-// reaches config.index.min_rows and p == 2, predict() consults it
-// first, and any query the index cannot serve exactly (non-finite
-// features, index disabled/too small) falls back to the tiled scan.
-// The shared TopK tie-break keeps both paths bit-identical.
+// For p = 2 every neighbour search goes through the exact bounding-box
+// tree of ml/knn_index.hpp, which fit()/load() always build: it groups
+// duplicate rows, prunes subtrees by their bounding boxes, and sweeps
+// leaves with the tiled four-accumulator dot kernel of
+// ml/knn_kernels.hpp, so its neighbour set is the brute-force scan's
+// (DESIGN.md §11). General p has no index and uses the direct Minkowski
+// sum over every row. Queries are embarrassingly parallel across the
+// thread pool. The scalar and tiled reference scans the tree is checked
+// and benchmarked against live in tests/reference/.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +28,6 @@ namespace mcb {
 struct KnnConfig {
   std::size_t k = 5;
   double minkowski_p = 2.0;
-  /// Spatial-index knobs; mode = kNone forces the brute-force scan.
-  KnnIndexConfig index;
 };
 
 class KnnClassifier final : public Classifier {
@@ -50,13 +36,9 @@ class KnnClassifier final : public Classifier {
 
   void fit(FeatureView x, std::span<const Label> y) override;
 
-  /// Batched prediction: spatial index when built, else the tiled p=2
-  /// kernel (general p falls back to the direct Minkowski scan).
+  /// Batched prediction: the spatial index for p = 2, the direct
+  /// Minkowski scan for any other p.
   std::vector<Label> predict(FeatureView x, ThreadPool* pool = nullptr) const override;
-
-  /// Scalar reference path (one row at a time, serial-reduction dot).
-  /// Kept for equivalence tests and the bench_fig8 speedup measurement.
-  std::vector<Label> predict_scalar(FeatureView x, ThreadPool* pool = nullptr) const;
 
   bool is_fitted() const noexcept override { return !labels_.empty(); }
   std::string name() const override { return "knn"; }
@@ -65,37 +47,30 @@ class KnnClassifier final : public Classifier {
   std::size_t dim() const noexcept { return dim_; }
   const KnnConfig& config() const noexcept { return config_; }
 
-  /// The spatial index (ready() is false when the scan is in use).
+  /// The spatial index (ready() once fitted with p = 2).
   const KnnIndex& index() const noexcept { return index_; }
 
   /// Indices of the k nearest training rows to `query` (ascending
   /// distance; kTopKNoRow pads slots no admissible candidate filled,
-  /// e.g. non-finite queries). Exposed for tests and for the
-  /// future-work "similar jobs" use cases the paper sketches (§VI).
+  /// e.g. NaN queries). Throws std::invalid_argument unless the query
+  /// has dim() features. Exposed for tests and for the future-work
+  /// "similar jobs" use cases the paper sketches (§VI).
   std::vector<std::size_t> kneighbors(std::span<const float> query) const;
-
-  /// Scalar-scan counterpart of kneighbors (reference for tests).
-  std::vector<std::size_t> kneighbors_scalar(std::span<const float> query) const;
 
   bool save(std::ostream& out) const override;
   bool load(std::istream& in) override;
 
  private:
-  Label predict_one(std::span<const float> query, bool scalar) const;
+  Label predict_one(std::span<const float> query) const;
   Label vote(std::span<const std::size_t> idx) const;
-  void top_k_fast(std::span<const float> query, std::vector<std::size_t>& idx,
-                  std::vector<double>& dist) const;
-  void top_k_scan(std::span<const float> query, std::vector<std::size_t>& idx,
-                  std::vector<double>& dist) const;
-  void top_k_scan_scalar(std::span<const float> query, std::vector<std::size_t>& idx,
-                         std::vector<double>& dist) const;
+  void top_k(std::span<const float> query, std::vector<std::size_t>& idx,
+             std::vector<double>& dist) const;
   void rebuild_index();
 
   KnnConfig config_;
   std::size_t dim_ = 0;
   std::size_t n_classes_ = 0;
   std::vector<float> train_data_;   // row-major n x dim
-  std::vector<float> train_norms_;  // ||x||^2 per row (p == 2 fast path)
   std::vector<Label> labels_;
   KnnIndex index_;
 };

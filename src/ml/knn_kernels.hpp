@@ -1,11 +1,11 @@
-// Shared distance kernels for the KNN scan and the spatial index.
+// Shared distance kernels for the spatial index and the reference scans.
 //
-// tile_dots is the deterministic 4-accumulator dot kernel from the PR 3
-// fast path (see knn.cpp header comment for the vectorization
-// rationale). It lives here so the tiled scan, the bounding-box tree's
-// leaf sweep and the IVF cell probe all compute *bitwise identical*
-// distances for the same row bytes — the precondition for the shared
-// TopK tie-break to make their results interchangeable.
+// tile_dots is the deterministic 4-accumulator dot kernel (DESIGN.md §8
+// has the vectorization rationale). It lives here so the bounding-box
+// tree's leaf sweep and the tiled reference scan in tests/reference/
+// compute *bitwise identical* distances for the same row bytes — the
+// precondition for the shared TopK tie-break to make their results
+// interchangeable.
 #pragma once
 
 #include <cstddef>
@@ -14,9 +14,9 @@
 
 namespace mcb {
 
-/// Training rows per tile of the p=2 fast scan: distances for a whole
-/// tile are materialized into a small stack buffer before the top-k
-/// insertion runs over them.
+/// Rows per tile of a p=2 sweep: distances for a whole tile are
+/// materialized into a small stack buffer before the top-k insertion
+/// runs over them.
 inline constexpr std::size_t kScanTile = 128;
 
 /// Dot of one query against `n_rows` consecutive training rows. Four
@@ -41,9 +41,9 @@ MCB_HOT_PATH inline void tile_dots(const float* rows, std::size_t n_rows, std::s
   }
 }
 
-/// ||row||^2 in double, rounded to float — the exact expression fit()
-/// and the index both use, so per-row norms are bitwise identical
-/// wherever they are computed.
+/// ||row||^2 in double, rounded to float — the exact expression the
+/// index and the reference scans both use, so per-row norms are bitwise
+/// identical wherever they are computed.
 MCB_HOT_PATH inline float row_norm_sq(const float* row, std::size_t dim) {
   double n2 = 0.0;
   for (std::size_t j = 0; j < dim; ++j) n2 += static_cast<double>(row[j]) * row[j];

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "ml/knn_kernels.hpp"
 #include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/thread_pool.hpp"
@@ -22,46 +20,30 @@ KnnRegressor::KnnRegressor(KnnRegressorConfig config) : config_(config) {
 
 void KnnRegressor::fit(FeatureView x, std::span<const double> y) {
   if (x.rows != y.size()) throw std::invalid_argument("knn_regressor: rows/targets mismatch");
-  if (x.rows == 0) throw std::invalid_argument("knn_regressor: empty training set");
+  if (x.empty()) throw std::invalid_argument("knn_regressor: empty training set");
   dim_ = x.cols;
   train_data_.assign(x.data, x.data + x.rows * x.cols);
   targets_.assign(y.begin(), y.end());
-  train_norms_.resize(x.rows);
-  for (std::size_t i = 0; i < x.rows; ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
-  rebuild_index();
-}
-
-void KnnRegressor::rebuild_index() {
-  index_.clear();
-  if (config_.index.mode == KnnIndexMode::kNone) return;
-  if (targets_.size() < config_.index.min_rows) return;
-  index_.build(FeatureView{train_data_.data(), targets_.size(), dim_}, config_.index);
+  index_.build(x);
 }
 
 double KnnRegressor::predict_one(std::span<const float> query) const {
-  const std::size_t n = targets_.size();
-  const std::size_t k = std::min(config_.k, n);
+  if (!is_fitted()) throw std::logic_error("knn_regressor: predict before fit");
+  if (query.size() != dim_) throw std::invalid_argument("knn_regressor: dimension mismatch");
+  return regress(query);
+}
+
+double KnnRegressor::regress(std::span<const float> query) const {
   thread_local std::vector<std::size_t> idx;
   thread_local std::vector<double> dist;
 
-  // Neighbor distances use the scan's query-norm-free key
+  // Neighbor distances use the index's query-norm-free key
   // ||x||^2 - 2 q.x (the query norm is constant across rows, so the
   // ranking is unchanged); it is added back below only where the true
-  // squared distance matters, in the 1/d weights.
-  if (!(index_.ready() && index_.search(query, config_.k, idx, dist))) {
-    TopK top(idx, dist, k);
-    float dots[kScanTile];
-    for (std::size_t base = 0; base < n; base += kScanTile) {
-      const std::size_t rows = std::min(kScanTile, n - base);
-      tile_dots(train_data_.data() + base * dim_, rows, dim_, query.data(), dots);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double d =
-            static_cast<double>(train_norms_[base + i]) - 2.0 * static_cast<double>(dots[i]);
-        top.consider(base + i, d);
-      }
-    }
+  // squared distance matters, in the 1/d weights. Fitted and
+  // width-checked by every caller, so the search always serves.
+  if (!index_.search(query, config_.k, idx, dist)) {
+    throw std::logic_error("knn_regressor: index refused a fitted, width-checked query");
   }
 
   if (!config_.distance_weighted) {
@@ -92,7 +74,7 @@ std::vector<double> KnnRegressor::predict(FeatureView x, ThreadPool* pool) const
   if (x.cols != dim_) throw std::invalid_argument("knn_regressor: dimension mismatch");
   std::vector<double> out(x.rows, 0.0);
   parallel_for_each(
-      pool, 0, x.rows, [&](std::size_t i) { out[i] = predict_one(x.row(i)); },
+      pool, 0, x.rows, [&](std::size_t i) { out[i] = regress(x.row(i)); },
       /*grain=*/8);
   return out;
 }
@@ -138,11 +120,7 @@ bool KnnRegressor::load(std::istream& in) {
   dim_ = static_cast<std::size_t>(dim);
   train_data_ = std::move(train_data);
   targets_ = std::move(targets);
-  train_norms_.resize(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
-  rebuild_index();
+  index_.build(FeatureView{train_data_.data(), targets_.size(), dim_});
   return true;
 }
 

@@ -7,10 +7,10 @@
 // vote replaced by a (optionally distance-weighted) mean of the
 // neighbors' target values.
 //
-// The neighbor search shares the classifier's machinery outright: the
-// tiled tile_dots kernel, the TopK tie-break (lower row id wins on equal
-// distance) and the pruned spatial index, so classifier and regressor
-// pick identical neighbor sets for identical data by construction.
+// The neighbor search is the classifier's p = 2 search outright: the
+// exact spatial index of ml/knn_index.hpp with its TopK tie-break (lower
+// row id wins on equal distance), so classifier and regressor pick
+// identical neighbor sets for identical data by construction.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,6 @@ class ThreadPool;
 struct KnnRegressorConfig {
   std::size_t k = 5;
   bool distance_weighted = false;  ///< 1/d weights instead of uniform mean
-  /// Spatial-index knobs; mode = kNone forces the brute-force scan.
-  KnnIndexConfig index;
 };
 
 class KnnRegressor {
@@ -42,9 +40,10 @@ class KnnRegressor {
   std::size_t dim() const noexcept { return dim_; }
   const KnnRegressorConfig& config() const noexcept { return config_; }
 
-  /// The spatial index (ready() is false when the scan is in use).
+  /// The spatial index every prediction searches (ready() once fitted).
   const KnnIndex& index() const noexcept { return index_; }
 
+  /// Throws std::invalid_argument unless the query has dim() features.
   double predict_one(std::span<const float> query) const;
   std::vector<double> predict(FeatureView x, ThreadPool* pool = nullptr) const;
 
@@ -52,12 +51,11 @@ class KnnRegressor {
   bool load(std::istream& in);
 
  private:
-  void rebuild_index();
+  double regress(std::span<const float> query) const;
 
   KnnRegressorConfig config_;
   std::size_t dim_ = 0;
   std::vector<float> train_data_;
-  std::vector<float> train_norms_;
   std::vector<double> targets_;
   KnnIndex index_;
 };

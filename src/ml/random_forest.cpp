@@ -101,42 +101,6 @@ std::vector<Label> RandomForestClassifier::predict(FeatureView x, ThreadPool* po
   return argmax_rows(predict_proba(x, pool), x.rows, n_classes_);
 }
 
-std::vector<double> RandomForestClassifier::predict_proba_scalar(FeatureView x,
-                                                                 ThreadPool* pool) const {
-  if (!is_fitted()) throw std::logic_error("rf: predict before fit");
-  if (x.cols != n_features_) throw std::invalid_argument("rf: feature dimension mismatch");
-
-  // Bin the query batch with the training binner; row-major codes here
-  // because prediction walks one sample across features.
-  std::vector<std::uint8_t> codes(x.rows * x.cols);
-  parallel_for_each(
-      pool, 0, x.rows,
-      [&](std::size_t r) {
-        std::uint8_t* row = codes.data() + r * x.cols;
-        const auto sample = x.row(r);
-        for (std::size_t f = 0; f < x.cols; ++f) row[f] = binner_.bin_value(f, sample[f]);
-      },
-      /*grain=*/32);
-
-  std::vector<double> probs(x.rows * n_classes_, 0.0);
-  parallel_for_each(
-      pool, 0, x.rows,
-      [&](std::size_t r) {
-        double* out = probs.data() + r * n_classes_;
-        const std::uint8_t* row = codes.data() + r * x.cols;
-        for (const auto& tree : trees_) tree.accumulate_proba(row, out);
-        const double inv = 1.0 / static_cast<double>(trees_.size());
-        for (std::size_t c = 0; c < n_classes_; ++c) out[c] *= inv;
-      },
-      /*grain=*/16);
-  return probs;
-}
-
-std::vector<Label> RandomForestClassifier::predict_scalar(FeatureView x,
-                                                          ThreadPool* pool) const {
-  return argmax_rows(predict_proba_scalar(x, pool), x.rows, n_classes_);
-}
-
 bool RandomForestClassifier::save(std::ostream& out) const {
   // An unfitted forest has no trees; silently writing an empty model
   // that load() would then reject is a trap for callers (mirrors the

@@ -31,17 +31,12 @@ class RandomForestClassifier final : public Classifier {
 
   /// Batched prediction over the flattened forest (built at fit/load):
   /// raw-float row blocks through FlatForest, no per-row binning.
-  /// Bit-identical to the scalar reference path below.
+  /// Bit-identical to binning each row and recursing every tree (the
+  /// reference path in tests/reference/).
   std::vector<Label> predict(FeatureView x, ThreadPool* pool = nullptr) const override;
 
   /// Averaged class probabilities, row-major [rows x n_classes].
   std::vector<double> predict_proba(FeatureView x, ThreadPool* pool = nullptr) const;
-
-  /// Scalar reference path (bin each row, recurse every tree per
-  /// sample). Kept for equivalence tests and the bench_fig8 speedup
-  /// measurement; not used in production serving.
-  std::vector<Label> predict_scalar(FeatureView x, ThreadPool* pool = nullptr) const;
-  std::vector<double> predict_proba_scalar(FeatureView x, ThreadPool* pool = nullptr) const;
 
   bool is_fitted() const noexcept override { return !trees_.empty(); }
   std::string name() const override { return "random_forest"; }
@@ -50,6 +45,8 @@ class RandomForestClassifier final : public Classifier {
   std::size_t tree_count() const noexcept { return trees_.size(); }
   const DecisionTree& tree(std::size_t i) const { return trees_.at(i); }
   const FlatForest& flat() const noexcept { return flat_; }
+  /// The quantile binner whose codes the trees were trained on.
+  const FeatureBinner& binner() const noexcept { return binner_; }
 
   /// Pass a pool before fit() to parallelize tree construction.
   void set_training_pool(ThreadPool* pool) noexcept { train_pool_ = pool; }

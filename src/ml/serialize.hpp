@@ -66,7 +66,7 @@ inline constexpr std::uint32_t kKindFlatForest = 4;
 // 5 was silently colliding with kKindFlatForest when KnnRegressor kept a
 // private tag of 4; all kinds now live here so collisions are impossible.
 inline constexpr std::uint32_t kKindKnnRegressor = 5;
-inline constexpr std::uint32_t kKindKnnIndex = 6;
+// 6 is retired (a former standalone KNN-index format): do not reuse it.
 
 /// Upper bound on elements accepted for any single model vector. read_vec
 /// resizes before reading, so without a cap a crafted 8-byte length prefix

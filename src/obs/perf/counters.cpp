@@ -42,7 +42,7 @@ namespace {
 
 // Availability is a process property: the perf syscall either works for
 // this process (paranoid level, seccomp, PMU presence) or it does not.
-// 0 = unprobed, 1 = available, -1 = hard failure.
+// 0 = not yet probed, 1 = available, -1 = hard failure.
 std::atomic<int> g_state{0};
 std::atomic<int> g_errno{0};
 // True once a thread group mapped with cap_user_rdpmc on every event —

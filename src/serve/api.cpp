@@ -193,7 +193,7 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     ready.help = "1 once a trained model is loaded (readiness probe).";
     ready.type = obs::MetricType::kGauge;
     bool is_ready = false;
-    KnnIndexStats index_stats;  // mode defaults to kNone = scan
+    KnnIndexStats index_stats;  // all zero = no index built
     {
       MutexLock lock(mutex_);
       is_ready = framework_->has_model();
@@ -205,24 +205,12 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     ready.points.push_back(obs::scalar_point({}, is_ready ? 1.0 : 0.0));
     out.push_back(std::move(ready));
 
-    // How KNN inference is served (DESIGN.md §11). mode="none" means
-    // the brute-force scan; unique_rows < rows quantifies the duplicate
-    // grouping that drives the index speedup on batchy HPC traces.
-    obs::MetricFamily index_info;
-    index_info.name = "mcb_knn_index_info";
-    index_info.help = "Constant 1; KNN spatial index mode/exactness in the labels.";
-    index_info.type = obs::MetricType::kGauge;
-    index_info.points.push_back(obs::scalar_point(
-        {{"mode", knn_index_mode_name(index_stats.mode)},
-         {"exact", index_stats.mode == KnnIndexMode::kNone || index_stats.exact
-                       ? "true"
-                       : "false"}},
-        1.0));
-    out.push_back(std::move(index_info));
-
+    // How KNN inference is served (DESIGN.md §11): unique_rows < rows
+    // quantifies the duplicate grouping that drives the index speedup
+    // on batchy HPC traces.
     obs::MetricFamily index_rows;
     index_rows.name = "mcb_knn_index_rows";
-    index_rows.help = "Rows held by the KNN spatial index (0 = scan).";
+    index_rows.help = "Rows held by the KNN spatial index (0 = no KNN index built).";
     index_rows.type = obs::MetricType::kGauge;
     index_rows.points.push_back(obs::scalar_point(
         {{"kind", "total"}}, static_cast<double>(index_stats.rows)));
@@ -473,26 +461,15 @@ HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
   if (framework_->model_version().has_value()) {
     body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
   }
-  if (framework_->config().model == ModelKind::kKnn) {
-    // Surface how KNN queries are served (DESIGN.md §11): the pruned
-    // spatial index when one is built, otherwise the brute-force scan
-    // (index disabled, p != 2, or training set below min_rows).
+  // The exact KNN spatial index (DESIGN.md §11), present once a p = 2
+  // KNN model is trained.
+  const ClassificationModel* model = framework_->model();
+  if (const KnnIndexStats* stats = model != nullptr ? model->knn_index_stats() : nullptr) {
     Json index_json = Json::object();
-    const ClassificationModel* model = framework_->model();
-    const KnnIndexStats* stats = model != nullptr ? model->knn_index_stats() : nullptr;
-    if (stats != nullptr) {
-      index_json.set("mode", knn_index_mode_name(stats->mode));
-      index_json.set("exact", stats->exact);
-      index_json.set("rows", static_cast<std::int64_t>(stats->rows));
-      index_json.set("unique_rows", static_cast<std::int64_t>(stats->unique_rows));
-      index_json.set("nodes", static_cast<std::int64_t>(stats->nodes));
-      index_json.set("leaves", static_cast<std::int64_t>(stats->leaves));
-      index_json.set("clusters", static_cast<std::int64_t>(stats->clusters));
-      index_json.set("nprobe", static_cast<std::int64_t>(stats->nprobe));
-    } else {
-      index_json.set("mode", "none");
-      index_json.set("exact", true);  // the scan is exact by definition
-    }
+    index_json.set("rows", static_cast<std::int64_t>(stats->rows));
+    index_json.set("unique_rows", static_cast<std::int64_t>(stats->unique_rows));
+    index_json.set("nodes", static_cast<std::int64_t>(stats->nodes));
+    index_json.set("leaves", static_cast<std::int64_t>(stats->leaves));
     body.set("knn_index", index_json);
   }
   return HttpResponse::json(200, body.dump());

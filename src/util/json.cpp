@@ -15,6 +15,7 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
+  std::size_t depth = 0;  ///< containers currently open
 
   bool at_end() const { return pos >= text.size(); }
   char peek() const { return text[pos]; }
@@ -39,8 +40,18 @@ struct Parser {
     skip_ws();
     if (at_end()) return fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        // Each open container is a level of recursion; an unbounded
+        // depth lets a short body of brackets overflow the stack.
+        if (depth == kJsonMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kJsonMaxDepth) + " levels");
+        }
+        ++depth;
+        const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
+        --depth;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!parse_string(s)) return false;
@@ -356,7 +367,7 @@ std::string Json::pretty() const {
 }
 
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
-  Parser parser{text, 0, {}};
+  Parser parser{text, 0, {}, 0};
   Json out;
   if (!parser.parse_value(out)) {
     if (error != nullptr) *error = parser.error;

@@ -5,6 +5,7 @@
 // unknown escapes are preserved verbatim rather than rejected).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -15,6 +16,10 @@
 #include <vector>
 
 namespace mcb {
+
+/// Deepest array/object nesting Json::parse accepts. The parser is
+/// recursive descent, so the limit bounds its stack use on hostile input.
+inline constexpr std::size_t kJsonMaxDepth = 512;
 
 class Json;
 using JsonArray = std::vector<Json>;
@@ -70,7 +75,8 @@ class Json {
   /// Pretty serialization with 2-space indentation.
   std::string pretty() const;
 
-  /// Parse; returns std::nullopt and fills `error` (if given) on failure.
+  /// Parse; returns std::nullopt and fills `error` (if given) on failure,
+  /// including nesting deeper than kJsonMaxDepth.
   static std::optional<Json> parse(std::string_view text, std::string* error = nullptr);
 
   friend bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }

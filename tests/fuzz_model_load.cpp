@@ -3,7 +3,7 @@
 // kind tags, unbounded allocations).
 //
 // Properties checked on arbitrary bytes b:
-//   P1  KnnClassifier/KnnRegressor/FlatForest/KnnIndex load(b) always
+//   P1  KnnClassifier/KnnRegressor/FlatForest load(b) always
 //       returns cleanly (true/false) — never crashes, reads out of
 //       bounds, loops, or over-allocates (ASan/UBSan in CI make
 //       violations fatal; libFuzzer's malloc limit catches the rest).
@@ -12,19 +12,21 @@
 //   P3  anything a loader accepts is consistent enough to run: a
 //       defensively-sized query through predict/search must not fault —
 //       this drives the historical UB sites (empty TopK, vote() OOB,
-//       accumulate_proba feature OOB) on every accepted input.
+//       accumulate_proba feature OOB) on every accepted input. NaN and
+//       ±inf queries, which the KNN index answers by sweeping every
+//       point, return only kTopKNoRow or in-range row ids.
 //   P4  accept → save → load: a loaded model re-serializes to a stream
 //       the same loader accepts again (loaders accept nothing they
 //       cannot round-trip).
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ml/flat_forest.hpp"
 #include "ml/knn.hpp"
-#include "ml/knn_index.hpp"
 #include "ml/knn_regressor.hpp"
 #include "ml/top_k.hpp"
 #include "tests/fuzz_common.hpp"
@@ -35,6 +37,23 @@ void check(bool ok, const char* what) {
   if (!ok) {
     std::fprintf(stderr, "fuzz_model_load: property violated: %s\n", what);
     std::abort();
+  }
+}
+
+/// One query per hostile value, each filling every feature.
+std::vector<std::vector<float>> non_finite_queries(std::size_t dim) {
+  std::vector<std::vector<float>> queries;
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+    queries.emplace_back(dim, v);
+  }
+  return queries;
+}
+
+void check_neighbor_ids(const std::vector<std::size_t>& idx, std::size_t rows) {
+  for (const std::size_t row : idx) {
+    check(row == mcb::kTopKNoRow || row < rows, "P3 neighbor ids are kTopKNoRow or in range");
   }
 }
 
@@ -60,6 +79,13 @@ int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
             "P3 classifier prediction is a valid class");
       check(knn.kneighbors(query).size() == std::min(knn.config().k, knn.train_size()),
             "P3 kneighbors returns min(k, n) slots");
+      for (const auto& hostile : non_finite_queries(knn.dim())) {
+        check_neighbor_ids(knn.kneighbors(hostile), knn.train_size());
+        const mcb::FeatureView hostile_view{hostile.data(), 1, knn.dim()};
+        const auto label = knn.predict(hostile_view);
+        check(label[0] >= 0 && static_cast<std::size_t>(label[0]) < knn.n_classes(),
+              "P3 non-finite query still predicts a valid class");
+      }
       std::ostringstream out;
       check(knn.save(out), "P4 accepted classifier saves");
       std::istringstream again(out.str());
@@ -77,6 +103,14 @@ int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
       check(reg.config().k >= 1, "P3 accepted regressor has k >= 1");
       const std::vector<float> query(reg.dim(), 0.0F);
       (void)reg.predict_one(query);  // P3: TopK + k-division on file data
+      std::vector<std::size_t> idx;
+      std::vector<double> dist;
+      for (const auto& hostile : non_finite_queries(reg.dim())) {
+        (void)reg.predict_one(hostile);
+        check(reg.index().search(hostile, reg.config().k, idx, dist),
+              "P3 regressor index serves non-finite queries");
+        check_neighbor_ids(idx, reg.train_size());
+      }
       std::ostringstream out;
       check(reg.save(out), "P4 accepted regressor saves");
       std::istringstream again(out.str());
@@ -100,28 +134,6 @@ int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
       std::istringstream again(out.str());
       mcb::FlatForest reloaded;
       check(reloaded.load(again), "P4 forest save/load round trip");
-    }
-  }
-
-  {
-    std::istringstream in(bytes);
-    mcb::KnnIndex index;
-    if (index.load(in)) {  // P1
-      ++accepted;
-      check(index.ready(), "P3 accepted index is ready");
-      const std::vector<float> query(index.dim(), 0.0F);
-      std::vector<std::size_t> idx;
-      std::vector<double> dist;
-      check(index.search(query, 5, idx, dist), "P3 accepted index serves finite queries");
-      for (const std::size_t row : idx) {
-        check(row == mcb::kTopKNoRow || row < index.rows(),
-              "P3 returned neighbor ids stay in range");
-      }
-      std::ostringstream out;
-      check(index.save(out), "P4 accepted index saves");
-      std::istringstream again(out.str());
-      mcb::KnnIndex reloaded;
-      check(reloaded.load(again), "P4 index save/load round trip");
     }
   }
 

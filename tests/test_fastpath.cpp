@@ -1,11 +1,13 @@
 // Equivalence tests for the batched inference fast path (DESIGN.md §8):
-// the flat-forest and tiled-KNN kernels must return results identical to
-// the scalar reference implementations on randomized inputs and on the
-// shapes that stress their edge handling (single row, one feature,
-// dimensions that do not divide the unroll width, k larger than the
-// training set). Plus the sharded embedding-cache contract: LRU
-// eviction, bounded capacity, stats, and data-race freedom under
-// concurrent hit/miss/evict traffic (run under TSan in CI).
+// the flat forest and the KNN classifier (whose p = 2 search is the
+// spatial index) must return results identical to the scalar reference
+// implementations in tests/reference/, and so must the tiled reference
+// scan bench_fig8 times, on randomized inputs and on the shapes that
+// stress their edge handling (single row, one feature, dimensions that
+// do not divide the unroll width, k larger than the training set).
+// Plus the sharded embedding-cache contract: LRU eviction, bounded
+// capacity, stats, and data-race freedom under concurrent
+// hit/miss/evict traffic (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +18,7 @@
 #include "ml/flat_forest.hpp"
 #include "ml/knn.hpp"
 #include "ml/random_forest.hpp"
+#include "reference/reference.hpp"
 #include "text/embedding_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -57,12 +60,12 @@ RandomForestConfig forest_config(std::size_t n_trees, std::uint64_t seed = 42) {
 // ---------------------------------------------------------------------------
 
 void expect_forest_paths_identical(const RandomForestClassifier& rf, FeatureView queries) {
-  const auto scalar_labels = rf.predict_scalar(queries);
+  const auto scalar_labels = reference::rf_predict_scalar(rf, queries);
   const auto flat_labels = rf.predict(queries);
   EXPECT_EQ(scalar_labels, flat_labels);
   // Bit-identical probabilities: both paths accumulate the same leaf
   // distributions in the same tree order.
-  const auto scalar_proba = rf.predict_proba_scalar(queries);
+  const auto scalar_proba = reference::rf_predict_proba_scalar(rf, queries);
   const auto flat_proba = rf.predict_proba(queries);
   ASSERT_EQ(scalar_proba.size(), flat_proba.size());
   for (std::size_t i = 0; i < scalar_proba.size(); ++i) {
@@ -184,47 +187,54 @@ TEST(FlatForest, RandomForestLoadRebuildsFlat) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiled KNN vs scalar scan
+// KNN (spatial index) and the tiled reference scan vs the scalar scan
 // ---------------------------------------------------------------------------
+
+/// The classifier, the scalar scan and the tiled scan agree on every
+/// label and neighbor list.
+void expect_knn_paths_identical(const RandomData& train, FeatureView queries,
+                                std::size_t k = 5) {
+  KnnConfig config;
+  config.k = k;
+  KnnClassifier knn(config);
+  knn.fit(train.x.view(), train.y);
+  const auto scalar = reference::knn_predict_scalar(train.x.view(), train.y, queries, k);
+  EXPECT_EQ(knn.predict(queries), scalar);
+  EXPECT_EQ(reference::knn_predict_tiled(train.x.view(), train.y, queries, k), scalar);
+  for (std::size_t i = 0; i < queries.rows; ++i) {
+    const auto row = queries.row(i);
+    const auto expected = reference::knn_kneighbors_scalar(train.x.view(), row, k);
+    EXPECT_EQ(knn.kneighbors(row), expected) << "query " << i;
+    EXPECT_EQ(reference::knn_kneighbors_tiled(train.x.view(), row, k), expected)
+        << "query " << i;
+  }
+}
 
 TEST(KnnFastPath, MatchesScalarOnRandomizedInputs) {
   for (const std::uint64_t seed : {2ULL, 31ULL, 77ULL}) {
     // 300 rows spans two full 128-row tiles plus a partial tail; dim 19
     // leaves a 3-wide remainder for the 4-accumulator unroll.
     const auto train = make_random_data(300, 19, seed);
-    KnnClassifier knn;
-    knn.fit(train.x.view(), train.y);
     const auto queries = make_random_data(97, 19, seed + 500);
-    EXPECT_EQ(knn.predict_scalar(queries.x.view()), knn.predict(queries.x.view()));
-    for (std::size_t i = 0; i < queries.x.view().rows; ++i) {
-      const auto row = queries.x.view().row(i);
-      EXPECT_EQ(knn.kneighbors_scalar(row), knn.kneighbors(row)) << "query " << i;
-    }
+    expect_knn_paths_identical(train, queries.x.view());
   }
 }
 
 TEST(KnnFastPath, KLargerThanTrainingSet) {
   const auto train = make_random_data(3, 7, 41);
-  KnnConfig config;
-  config.k = 10;  // > n_rows: both scans must return all 3 rows
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
   const auto query = make_random_data(1, 7, 42);
-  const auto tiled = knn.kneighbors(query.x.view().row(0));
-  EXPECT_EQ(tiled.size(), 3u);
-  EXPECT_EQ(tiled, knn.kneighbors_scalar(query.x.view().row(0)));
-  EXPECT_EQ(knn.predict(query.x.view()), knn.predict_scalar(query.x.view()));
+  // k = 10 > n_rows: every path must return all 3 rows.
+  EXPECT_EQ(reference::knn_kneighbors_tiled(train.x.view(), query.x.view().row(0), 10).size(),
+            3u);
+  expect_knn_paths_identical(train, query.x.view(), 10);
 }
 
 TEST(KnnFastPath, SingleRowAndNarrowDims) {
   // dims 1..5 cover every remainder class of the 4-wide unroll.
   for (const std::size_t dims : {1UL, 2UL, 3UL, 4UL, 5UL}) {
     const auto train = make_random_data(150, dims, 50 + dims);
-    KnnClassifier knn;
-    knn.fit(train.x.view(), train.y);
     const auto query = make_random_data(1, dims, 60 + dims);
-    EXPECT_EQ(knn.kneighbors(query.x.view().row(0)), knn.kneighbors_scalar(query.x.view().row(0)))
-        << "dims=" << dims;
+    expect_knn_paths_identical(train, query.x.view());
   }
 }
 
@@ -233,10 +243,8 @@ TEST(KnnFastPath, ExactTileBoundary) {
   // read past the end or skip the final row.
   for (const std::size_t rows : {128UL, 129UL, 256UL}) {
     const auto train = make_random_data(rows, 9, 70 + rows);
-    KnnClassifier knn;
-    knn.fit(train.x.view(), train.y);
     const auto query = make_random_data(5, 9, 90 + rows);
-    EXPECT_EQ(knn.predict(query.x.view()), knn.predict_scalar(query.x.view())) << "rows=" << rows;
+    expect_knn_paths_identical(train, query.x.view());
   }
 }
 

@@ -1,21 +1,23 @@
-// Equivalence tests for the pruned KNN spatial index (DESIGN.md §11):
-// the bounding-box tree must return results *identical* to the scalar
-// reference scan — same neighbor ids, same predictions — on randomized
-// inputs and on the shapes that stress its invariants (duplicate rows
-// and equal distances, k larger than the training set, narrow dims,
-// tile boundaries, zero-extent splits, non-finite features). IVF-flat
-// must be exact when nprobe covers every cell and well-behaved when it
-// does not. Plus the KnnIndex save/load contract: round-trip identity
-// and rejection of truncated or foreign streams.
+// Equivalence tests for the KNN spatial index (DESIGN.md §11), the only
+// p = 2 neighbour search of KnnClassifier and KnnRegressor: the
+// bounding-box tree must return results *identical* to the reference
+// scans in tests/reference/ — same neighbor ids, same predictions — on
+// randomized inputs and on the shapes that stress its invariants
+// (duplicate rows and equal distances, k larger than the training set,
+// narrow dims, tile boundaries, zero-extent splits), and on the inputs
+// it serves as degenerate trees: training sets of one leaf, non-finite
+// training rows and non-finite queries. Plus the query-width contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <sstream>
+#include <stdexcept>
 
 #include "ml/knn.hpp"
 #include "ml/knn_index.hpp"
 #include "ml/knn_regressor.hpp"
+#include "ml/top_k.hpp"
+#include "reference/reference.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -58,23 +60,42 @@ RandomData make_duplicate_data(std::size_t rows, std::size_t dims, std::size_t u
   return data;
 }
 
-KnnConfig tree_config(std::size_t k, std::size_t leaf_size = 8) {
+KnnClassifier fitted_knn(const RandomData& train, std::size_t k) {
   KnnConfig config;
   config.k = k;
-  config.index.mode = KnnIndexMode::kBoundTree;
-  config.index.min_rows = 1;  // always index, even tiny training sets
-  config.index.leaf_size = leaf_size;
-  return config;
+  KnnClassifier knn(config);
+  knn.fit(train.x.view(), train.y);
+  return knn;
 }
 
-/// The core contract: index-backed neighbors and predictions must be
-/// bit-identical to the scalar reference scan, query by query.
-void expect_index_matches_scalar(const KnnClassifier& knn, FeatureView queries) {
-  ASSERT_TRUE(knn.index().ready()) << "index was expected to be active";
-  EXPECT_EQ(knn.predict(queries), knn.predict_scalar(queries));
+/// The core contract: neighbors and predictions of the classifier must
+/// be bit-identical to the scalar reference scan, query by query.
+void expect_knn_matches_scalar(const KnnClassifier& knn, const RandomData& train,
+                               FeatureView queries) {
+  ASSERT_TRUE(knn.index().ready()) << "every fitted p = 2 classifier searches the index";
+  const std::size_t k = knn.config().k;
+  EXPECT_EQ(knn.predict(queries),
+            reference::knn_predict_scalar(train.x.view(), train.y, queries, k));
   for (std::size_t i = 0; i < queries.rows; ++i) {
-    EXPECT_EQ(knn.kneighbors(queries.row(i)), knn.kneighbors_scalar(queries.row(i)))
+    EXPECT_EQ(knn.kneighbors(queries.row(i)),
+              reference::knn_kneighbors_scalar(train.x.view(), queries.row(i), k))
         << "query " << i;
+  }
+}
+
+/// The same contract on a KnnIndex built directly with a small leaf
+/// size, so small inputs still get deep trees.
+void expect_index_matches_scalar(FeatureView train, FeatureView queries, std::size_t k,
+                                 std::size_t leaf_size, std::size_t min_leaves) {
+  KnnIndex index;
+  index.build(train, leaf_size);
+  ASSERT_TRUE(index.ready());
+  EXPECT_GE(index.stats().leaves, min_leaves);
+  std::vector<std::size_t> idx;
+  std::vector<double> dist;
+  for (std::size_t i = 0; i < queries.rows; ++i) {
+    ASSERT_TRUE(index.search(queries.row(i), k, idx, dist));
+    EXPECT_EQ(idx, reference::knn_kneighbors_scalar(train, queries.row(i), k)) << "query " << i;
   }
 }
 
@@ -86,9 +107,9 @@ TEST(KnnIndexTree, MatchesScalarOnRandomizedInputs) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
     const auto train = make_random_data(500, 8, seed);
     const auto queries = make_random_data(100, 8, seed + 1000);
-    KnnClassifier knn(tree_config(5));
-    knn.fit(train.x.view(), train.y);
-    expect_index_matches_scalar(knn, queries.x.view());
+    const KnnClassifier knn = fitted_knn(train, 5);
+    EXPECT_GE(knn.index().stats().leaves, 8U);
+    expect_knn_matches_scalar(knn, train, queries.x.view());
   }
 }
 
@@ -98,26 +119,29 @@ TEST(KnnIndexTree, MatchesScalarOnDuplicateHeavyData) {
   // the same pool hit exact distance-0 matches.
   const auto train = make_duplicate_data(1500, 6, 60, 91);
   const auto queries = make_duplicate_data(80, 6, 60, 91);
-  KnnClassifier knn(tree_config(5));
-  knn.fit(train.x.view(), train.y);
+  const KnnClassifier knn = fitted_knn(train, 5);
   EXPECT_LT(knn.index().stats().unique_rows, 100U);
-  expect_index_matches_scalar(knn, queries.x.view());
+  expect_knn_matches_scalar(knn, train, queries.x.view());
+  expect_index_matches_scalar(train.x.view(), queries.x.view(), 5, /*leaf_size=*/8,
+                              /*min_leaves=*/4);
 }
 
 TEST(KnnIndexTree, DuplicateGroupExpandsToLowestRowIds) {
   // Four copies of the same point scattered through the training set:
   // k = 3 must return the three *lowest* original row ids, exactly as a
   // sequential first-seen-wins scan would.
-  FeatureMatrix x(6, 2);
+  RandomData train{FeatureMatrix(6, 2), {0, 1, 0, 1, 1, 1}};
   const float rows[6][2] = {{5, 5}, {0, 0}, {9, 9}, {0, 0}, {0, 0}, {0, 0}};
-  for (std::size_t i = 0; i < 6; ++i) std::copy_n(rows[i], 2, x.row(i));
-  const std::vector<Label> y{0, 1, 0, 1, 1, 1};
-  KnnClassifier knn(tree_config(3));
-  knn.fit(x.view(), y);
+  for (std::size_t i = 0; i < 6; ++i) std::copy_n(rows[i], 2, train.x.row(i));
+  const KnnClassifier knn = fitted_knn(train, 3);
   const std::vector<float> query{0.1F, 0.1F};
   const std::vector<std::size_t> expected{1, 3, 4};
   EXPECT_EQ(knn.kneighbors(query), expected);
-  EXPECT_EQ(knn.kneighbors_scalar(query), expected);
+  EXPECT_EQ(reference::knn_kneighbors_scalar(train.x.view(), query, 3), expected);
+  FeatureMatrix queries(1, 2);
+  std::copy_n(query.data(), 2, queries.row(0));
+  expect_index_matches_scalar(train.x.view(), queries.view(), 3, /*leaf_size=*/1,
+                              /*min_leaves=*/3);
 }
 
 TEST(KnnIndexTree, NarrowDimsAndTileBoundaries) {
@@ -125,9 +149,9 @@ TEST(KnnIndexTree, NarrowDimsAndTileBoundaries) {
     for (const std::size_t rows : {127U, 128U, 129U, 256U}) {
       const auto train = make_random_data(rows, dims, dims * 1000 + rows);
       const auto queries = make_random_data(20, dims, dims * 2000 + rows);
-      KnnClassifier knn(tree_config(5));
-      knn.fit(train.x.view(), train.y);
-      expect_index_matches_scalar(knn, queries.x.view());
+      expect_knn_matches_scalar(fitted_knn(train, 5), train, queries.x.view());
+      expect_index_matches_scalar(train.x.view(), queries.x.view(), 5, /*leaf_size=*/8,
+                                  /*min_leaves=*/8);
     }
   }
 }
@@ -135,111 +159,127 @@ TEST(KnnIndexTree, NarrowDimsAndTileBoundaries) {
 TEST(KnnIndexTree, KLargerThanTrainingSet) {
   const auto train = make_random_data(10, 3, 5);
   const auto queries = make_random_data(8, 3, 6);
-  KnnClassifier knn(tree_config(50));
-  knn.fit(train.x.view(), train.y);
-  expect_index_matches_scalar(knn, queries.x.view());
+  const KnnClassifier knn = fitted_knn(train, 50);
+  expect_knn_matches_scalar(knn, train, queries.x.view());
   EXPECT_EQ(knn.kneighbors(queries.x.row(0)).size(), 10U);
+  expect_index_matches_scalar(train.x.view(), queries.x.view(), 50, /*leaf_size=*/2,
+                              /*min_leaves=*/4);
 }
 
 TEST(KnnIndexTree, ZeroExtentSplitForcesLeaf) {
   // All rows value-equal but byte-distinct in one dimension (-0.0 vs
   // 0.0): the widest split extent is zero, which must terminate the
   // build (forced leaf) rather than recurse forever.
-  FeatureMatrix x(64, 2);
+  RandomData train{FeatureMatrix(64, 2), std::vector<Label>(64)};
   for (std::size_t i = 0; i < 64; ++i) {
-    x.row(i)[0] = (i % 2 == 0) ? 0.0F : -0.0F;
-    x.row(i)[1] = 1.0F;
+    train.x.row(i)[0] = (i % 2 == 0) ? 0.0F : -0.0F;
+    train.x.row(i)[1] = 1.0F;
+    train.y[i] = static_cast<Label>(i % 2);
   }
-  std::vector<Label> y(64);
-  for (std::size_t i = 0; i < 64; ++i) y[i] = static_cast<Label>(i % 2);
-  KnnClassifier knn(tree_config(5));
-  knn.fit(x.view(), y);
-  ASSERT_TRUE(knn.index().ready());
-  const std::vector<float> query{0.0F, 0.9F};
-  EXPECT_EQ(knn.kneighbors(query), knn.kneighbors_scalar(query));
+  KnnIndex index;
+  index.build(train.x.view(), /*leaf_size=*/1);
+  EXPECT_EQ(index.stats().unique_rows, 2U);
+  EXPECT_EQ(index.stats().nodes, 1U) << "a zero-extent split must stay one leaf";
+  FeatureMatrix queries(1, 2);
+  queries.row(0)[1] = 0.9F;
+  expect_index_matches_scalar(train.x.view(), queries.view(), 5, /*leaf_size=*/1,
+                              /*min_leaves=*/1);
+  expect_knn_matches_scalar(fitted_knn(train, 5), train, queries.view());
 }
 
-TEST(KnnIndexTree, NonFiniteQueryFallsBackToScan) {
+TEST(KnnIndexTree, NonFiniteQueriesMatchScalar) {
+  // NaN and ±inf queries fall outside the pruning algebra; the index
+  // sweeps every unique point, and neighbors must still match the scan
+  // (NaN distances are never admitted; -inf ones tie toward low ids).
   const auto train = make_random_data(300, 4, 17);
-  KnnClassifier knn(tree_config(5));
-  knn.fit(train.x.view(), train.y);
-  ASSERT_TRUE(knn.index().ready());
-  FeatureMatrix queries(3, 4);
+  const KnnClassifier knn = fitted_knn(train, 5);
+  ASSERT_GE(knn.index().stats().leaves, 4U);
+  FeatureMatrix queries(4, 4);
   queries.row(0)[1] = std::numeric_limits<float>::quiet_NaN();
   queries.row(1)[2] = std::numeric_limits<float>::infinity();
   queries.row(2)[0] = -std::numeric_limits<float>::infinity();
-  // The index refuses these queries; predict must agree with the scalar
-  // path (which handles them via the NaN-rejecting TopK) in both cases.
-  EXPECT_EQ(knn.predict(queries.view()), knn.predict_scalar(queries.view()));
+  for (std::size_t d = 0; d < 4; ++d) queries.row(3)[d] = std::numeric_limits<float>::quiet_NaN();
+  expect_knn_matches_scalar(knn, train, queries.view());
+  for (const std::size_t row : knn.kneighbors(queries.view().row(3))) {
+    EXPECT_EQ(row, kTopKNoRow) << "an all-NaN query admits no neighbor";
+  }
 }
 
-TEST(KnnIndexTree, NonFiniteTrainingDataDisablesIndex) {
+TEST(KnnIndexTree, NanTrainingRowsMatchScalar) {
   auto train = make_random_data(300, 4, 19);
   train.x.row(7)[2] = std::numeric_limits<float>::quiet_NaN();
-  KnnClassifier knn(tree_config(5));
-  knn.fit(train.x.view(), train.y);
-  EXPECT_FALSE(knn.index().ready()) << "non-finite training data must refuse the index";
+  train.x.row(150)[0] = std::numeric_limits<float>::quiet_NaN();
+  const KnnClassifier knn = fitted_knn(train, 5);
+  EXPECT_EQ(knn.index().stats().leaves, 1U) << "non-finite training data is one root leaf";
   const auto queries = make_random_data(20, 4, 20);
-  EXPECT_EQ(knn.predict(queries.x.view()), knn.predict_scalar(queries.x.view()));
+  expect_knn_matches_scalar(knn, train, queries.x.view());
 }
 
-TEST(KnnIndexTree, MinRowsThresholdKeepsScan) {
-  const auto train = make_random_data(100, 4, 21);
-  KnnConfig config = tree_config(5);
-  config.index.min_rows = 512;  // the default serving threshold
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
-  EXPECT_FALSE(knn.index().ready());
-  const auto queries = make_random_data(20, 4, 22);
-  EXPECT_EQ(knn.predict(queries.x.view()), knn.predict_scalar(queries.x.view()));
+TEST(KnnIndexTree, SmallTrainingSetsMatchScalar) {
+  // At most leaf_size unique rows is a single leaf: the tree search is
+  // then one sweep of the whole set.
+  for (const std::size_t rows : {1U, 5U, 63U}) {
+    const auto train = make_random_data(rows, 4, 21 + rows);
+    const KnnClassifier knn = fitted_knn(train, 5);
+    EXPECT_EQ(knn.index().stats().leaves, 1U) << "rows=" << rows;
+    const auto queries = make_random_data(20, 4, 22 + rows);
+    expect_knn_matches_scalar(knn, train, queries.x.view());
+  }
 }
 
 TEST(KnnIndexTree, ParallelPredictionMatchesSerial) {
-  const auto train = make_duplicate_data(1000, 5, 80, 33);
+  // Enough unique points for a multi-leaf tree, so the parallel run
+  // goes through pruned traversal rather than one leaf sweep.
+  const auto train = make_duplicate_data(4000, 5, 700, 33);
   const auto queries = make_random_data(64, 5, 34);
-  KnnClassifier knn(tree_config(5));
-  knn.fit(train.x.view(), train.y);
+  const KnnClassifier knn = fitted_knn(train, 5);
+  EXPECT_GE(knn.index().stats().leaves, 8U);
   ThreadPool pool(4);
   EXPECT_EQ(knn.predict(queries.x.view(), &pool), knn.predict(queries.x.view(), nullptr));
 }
 
-// ---------------------------------------------------------------------------
-// IVF-flat mode
-// ---------------------------------------------------------------------------
+TEST(KnnIndexTree, SearchContractOnUnreadyOrBadInput) {
+  KnnIndex index;
+  std::vector<std::size_t> idx;
+  std::vector<double> dist;
+  const std::vector<float> query{1.0F, 2.0F};
+  EXPECT_FALSE(index.search(query, 5, idx, dist)) << "unbuilt index";
 
-TEST(KnnIndexIvf, ExactWhenNprobeCoversAllCells) {
-  const auto train = make_random_data(600, 6, 55);
-  const auto queries = make_random_data(60, 6, 56);
-  KnnConfig config = tree_config(5);
-  config.index.mode = KnnIndexMode::kIvfFlat;
-  config.index.ivf_clusters = 16;
-  config.index.ivf_nprobe = 1000;  // >= cells → provably exact
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
-  ASSERT_TRUE(knn.index().ready());
-  EXPECT_TRUE(knn.index().stats().exact);
-  expect_index_matches_scalar(knn, queries.x.view());
+  const auto train = make_random_data(100, 2, 115);
+  index.build(train.x.view());
+  ASSERT_TRUE(index.ready());
+  // A refusal empties the outputs, so no caller can read a previous
+  // query's row ids.
+  const std::vector<float> wrong_dim{1.0F, 2.0F, 3.0F};
+  for (const bool zero_k : {true, false}) {
+    ASSERT_TRUE(index.search(query, 5, idx, dist));
+    EXPECT_EQ(idx.size(), 5U);
+    EXPECT_FALSE(zero_k ? index.search(query, 0, idx, dist)
+                        : index.search(wrong_dim, 5, idx, dist))
+        << (zero_k ? "k == 0" : "dimension mismatch");
+    EXPECT_TRUE(idx.empty());
+    EXPECT_TRUE(dist.empty());
+  }
 }
 
-TEST(KnnIndexIvf, ApproximateModeStaysReasonable) {
-  // nprobe half the cells is approximate by construction; predictions
-  // must still agree with the scan on the vast majority of separable
-  // queries (neighbors live in nearby cells).
-  const auto train = make_random_data(800, 6, 57);
-  const auto queries = make_random_data(200, 6, 58);
-  KnnConfig config = tree_config(5);
-  config.index.mode = KnnIndexMode::kIvfFlat;
-  config.index.ivf_clusters = 8;
-  config.index.ivf_nprobe = 4;
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
-  ASSERT_TRUE(knn.index().ready());
-  EXPECT_FALSE(knn.index().stats().exact);
-  const auto fast = knn.predict(queries.x.view());
-  const auto scalar = knn.predict_scalar(queries.x.view());
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < fast.size(); ++i) agree += fast[i] == scalar[i];
-  EXPECT_GE(agree, fast.size() * 8 / 10);
+// ---------------------------------------------------------------------------
+// Query width: a query of the wrong width is refused, never read past
+// ---------------------------------------------------------------------------
+
+TEST(KnnQueryWidth, ShortAndLongQueriesThrow) {
+  const auto train = make_random_data(200, 6, 41);
+  const KnnClassifier knn = fitted_knn(train, 5);
+  std::vector<double> targets(train.y.begin(), train.y.end());
+  KnnRegressor regressor;
+  regressor.fit(train.x.view(), targets);
+  for (const std::size_t width : {0U, 5U, 7U}) {
+    const std::vector<float> query(width, 0.5F);
+    EXPECT_THROW(knn.kneighbors(query), std::invalid_argument) << "width " << width;
+    EXPECT_THROW(regressor.predict_one(query), std::invalid_argument) << "width " << width;
+  }
+  const std::vector<float> exact(6, 0.5F);
+  EXPECT_EQ(knn.kneighbors(exact).size(), 5U);
+  EXPECT_NO_THROW(regressor.predict_one(exact));
 }
 
 // ---------------------------------------------------------------------------
@@ -248,120 +288,25 @@ TEST(KnnIndexIvf, ApproximateModeStaysReasonable) {
 
 TEST(KnnIndexRegressor, IndexedPredictionsMatchScanBitwise) {
   for (const bool weighted : {false, true}) {
-    const auto train = make_duplicate_data(900, 5, 70, 77);
+    const auto train = make_duplicate_data(4000, 5, 700, 77);
     std::vector<double> targets(train.y.size());
     Rng rng(78);
     for (auto& t : targets) t = rng.uniform(0.0, 100.0);
 
-    KnnRegressorConfig indexed;
-    indexed.k = 5;
-    indexed.distance_weighted = weighted;
-    indexed.index.mode = KnnIndexMode::kBoundTree;
-    indexed.index.min_rows = 1;
-    indexed.index.leaf_size = 8;
-    KnnRegressorConfig scan = indexed;
-    scan.index.mode = KnnIndexMode::kNone;
+    KnnRegressorConfig config;
+    config.k = 5;
+    config.distance_weighted = weighted;
+    KnnRegressor regressor(config);
+    regressor.fit(train.x.view(), targets);
+    ASSERT_TRUE(regressor.index().ready());
+    EXPECT_GE(regressor.index().stats().leaves, 8U);
 
-    KnnRegressor fast(indexed);
-    fast.fit(train.x.view(), targets);
-    ASSERT_TRUE(fast.index().ready());
-    KnnRegressor reference(scan);
-    reference.fit(train.x.view(), targets);
-    ASSERT_FALSE(reference.index().ready());
-
-    const auto queries = make_duplicate_data(60, 5, 70, 79);
-    EXPECT_EQ(fast.predict(queries.x.view()), reference.predict(queries.x.view()))
+    const auto queries = make_duplicate_data(60, 5, 700, 79);
+    EXPECT_EQ(regressor.predict(queries.x.view()),
+              reference::knn_regress_tiled(train.x.view(), targets, queries.x.view(), 5,
+                                           weighted))
         << "weighted = " << weighted;
   }
-}
-
-// ---------------------------------------------------------------------------
-// KnnIndex persistence
-// ---------------------------------------------------------------------------
-
-TEST(KnnIndexIo, SaveLoadRoundTripIsSearchIdentical) {
-  for (const KnnIndexMode mode : {KnnIndexMode::kBoundTree, KnnIndexMode::kIvfFlat}) {
-    const auto train = make_duplicate_data(700, 5, 90, 101);
-    KnnIndexConfig config;
-    config.mode = mode;
-    config.min_rows = 1;
-    config.leaf_size = 8;
-    config.ivf_clusters = 8;
-    KnnIndex index;
-    ASSERT_TRUE(index.build(train.x.view(), config));
-    std::stringstream stream;
-    ASSERT_TRUE(index.save(stream));
-    KnnIndex loaded;
-    ASSERT_TRUE(loaded.load(stream));
-
-    EXPECT_EQ(loaded.stats().rows, index.stats().rows);
-    EXPECT_EQ(loaded.stats().unique_rows, index.stats().unique_rows);
-    EXPECT_EQ(loaded.stats().nodes, index.stats().nodes);
-    EXPECT_EQ(loaded.stats().clusters, index.stats().clusters);
-
-    const auto queries = make_random_data(40, 5, 102);
-    std::vector<std::size_t> idx_a, idx_b;
-    std::vector<double> dist_a, dist_b;
-    for (std::size_t i = 0; i < 40; ++i) {
-      ASSERT_TRUE(index.search(queries.x.view().row(i), 5, idx_a, dist_a));
-      ASSERT_TRUE(loaded.search(queries.x.view().row(i), 5, idx_b, dist_b));
-      EXPECT_EQ(idx_a, idx_b) << "query " << i;
-      EXPECT_EQ(dist_a, dist_b) << "query " << i;
-    }
-  }
-}
-
-TEST(KnnIndexIo, RejectsTruncatedStreams) {
-  const auto train = make_random_data(200, 4, 111);
-  KnnIndexConfig config;
-  config.min_rows = 1;
-  KnnIndex index;
-  ASSERT_TRUE(index.build(train.x.view(), config));
-  std::stringstream stream;
-  ASSERT_TRUE(index.save(stream));
-  const std::string bytes = stream.str();
-  for (std::size_t cut = 0; cut < bytes.size(); cut += 97) {
-    std::stringstream in(bytes.substr(0, cut));
-    KnnIndex loaded;
-    EXPECT_FALSE(loaded.load(in)) << "cut at " << cut;
-    EXPECT_FALSE(loaded.ready());
-  }
-}
-
-TEST(KnnIndexIo, RejectsForeignAndGarbageStreams) {
-  {
-    std::stringstream in("definitely not a model");
-    KnnIndex index;
-    EXPECT_FALSE(index.load(in));
-  }
-  {
-    // A valid *classifier* stream must be rejected at the kind tag.
-    const auto train = make_random_data(50, 3, 113);
-    KnnClassifier knn;
-    knn.fit(train.x.view(), train.y);
-    std::stringstream stream;
-    ASSERT_TRUE(knn.save(stream));
-    KnnIndex index;
-    EXPECT_FALSE(index.load(stream));
-  }
-}
-
-TEST(KnnIndexIo, SearchContractOnUnreadyOrBadInput) {
-  KnnIndex index;
-  std::vector<std::size_t> idx;
-  std::vector<double> dist;
-  const std::vector<float> query{1.0F, 2.0F};
-  EXPECT_FALSE(index.search(query, 5, idx, dist)) << "unbuilt index";
-
-  const auto train = make_random_data(100, 2, 115);
-  KnnIndexConfig config;
-  config.min_rows = 1;
-  ASSERT_TRUE(index.build(train.x.view(), config));
-  EXPECT_FALSE(index.search(query, 0, idx, dist)) << "k == 0";
-  const std::vector<float> wrong_dim{1.0F, 2.0F, 3.0F};
-  EXPECT_FALSE(index.search(wrong_dim, 5, idx, dist)) << "dimension mismatch";
-  EXPECT_TRUE(index.search(query, 5, idx, dist));
-  EXPECT_EQ(idx.size(), 5U);
 }
 
 }  // namespace

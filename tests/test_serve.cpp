@@ -893,46 +893,46 @@ TEST_F(ApiTest, ModelInfoListsFeatures) {
 }
 
 TEST_F(ApiTest, ModelInfoReportsKnnIndexState) {
-  // 60 training rows sit below the index's min_rows threshold, so this
-  // deployment serves through the scan: the knn_index object must say
-  // so rather than disappear.
+  // No model, no index: the object appears only once one is built.
+  const auto untrained_info = Json::parse(call("GET", "/model/info").body);
+  EXPECT_FALSE(untrained_info->contains("knn_index"));
+
+  // Every trained p = 2 KNN model searches the bounding-box tree, even
+  // on this 60-row training set.
   ASSERT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
             201);
-  const auto scan_info = Json::parse(call("GET", "/model/info").body);
-  ASSERT_TRUE(scan_info->contains("knn_index"));
-  EXPECT_EQ((*scan_info)["knn_index"]["mode"].as_string(), "none");
-  EXPECT_TRUE((*scan_info)["knn_index"]["exact"].as_bool(false));
+  const auto info = Json::parse(call("GET", "/model/info").body);
+  ASSERT_TRUE(info->contains("knn_index"));
+  const Json& index = (*info)["knn_index"];
+  EXPECT_EQ(index["rows"].as_int(), 60);
+  EXPECT_GE(index["unique_rows"].as_int(), 1);
+  EXPECT_LE(index["unique_rows"].as_int(), 60);
+  EXPECT_GE(index["nodes"].as_int(), 1);
+  EXPECT_GE(index["leaves"].as_int(), 1);
+  EXPECT_EQ(index.size(), 4U) << index.dump();
 
-  // Lowering min_rows (the knn_index_min_rows config knob) flips the
-  // same deployment to the bounding-box tree, and the stats follow.
-  FrameworkConfig indexed_config = config_;
-  indexed_config.knn.index.min_rows = 1;
-  Framework indexed_framework(indexed_config, store_);
-  ApiServer indexed_api(indexed_framework);
-  HttpRequest train;
-  train.method = "POST";
-  train.path = "/train";
-  train.body = "{\"now\": " + std::to_string(last_end_ + 10) + "}";
-  ASSERT_EQ(indexed_api.dispatch(train).status, 201);
-  HttpRequest info;
-  info.method = "GET";
-  info.path = "/model/info";
-  const auto tree_info = Json::parse(indexed_api.dispatch(info).body);
-  ASSERT_TRUE(tree_info->contains("knn_index"));
-  EXPECT_EQ((*tree_info)["knn_index"]["mode"].as_string(), "tree");
-  EXPECT_TRUE((*tree_info)["knn_index"]["exact"].as_bool(false));
-  EXPECT_EQ((*tree_info)["knn_index"]["rows"].as_int(), 60);
-  EXPECT_GE((*tree_info)["knn_index"]["unique_rows"].as_int(), 1);
-  EXPECT_LE((*tree_info)["knn_index"]["unique_rows"].as_int(), 60);
-
-  // The same state reaches the metrics endpoint as mcb_knn_index_*.
+  // The same state reaches the metrics endpoint as mcb_knn_index_rows.
   HttpRequest metrics;
   metrics.method = "GET";
   metrics.path = "/metrics";
   metrics.query = "format=prometheus";
-  const std::string exposition = indexed_api.dispatch(metrics).body;
-  EXPECT_NE(exposition.find("mcb_knn_index_info{mode=\"tree\""), std::string::npos);
+  const std::string exposition = api_->dispatch(metrics).body;
+  EXPECT_NE(exposition.find("mcb_knn_index_rows{kind=\"total\"} 60"), std::string::npos);
   EXPECT_NE(exposition.find("mcb_knn_index_rows{kind=\"unique\"}"), std::string::npos);
+  EXPECT_EQ(exposition.find("mcb_knn_index_info"), std::string::npos);
+}
+
+TEST_F(ApiTest, DeeplyNestedBodyIs400AndServerKeepsServing) {
+  // 100 KB of '[' once overflowed the parser's stack; it must be a
+  // plain 400 naming the depth limit, and the next request must work.
+  ASSERT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
+            201);
+  const auto deep = call("POST", "/classify_batch", std::string(100000, '['));
+  EXPECT_EQ(deep.status, 400);
+  EXPECT_NE(deep.body.find(std::to_string(kJsonMaxDepth)), std::string::npos) << deep.body;
+  const auto next = call("POST", "/classify_batch",
+                         R"({"jobs":[{"job_name":"stream_app","user_name":"u1"}]})");
+  EXPECT_EQ(next.status, 200) << next.body;
 }
 
 TEST_F(ApiTest, EncodeEndpointReturnsNormalizedEmbedding) {

@@ -440,6 +440,33 @@ TEST(Json, RejectsMalformed) {
   EXPECT_FALSE(Json::parse("\"unterminated").has_value());
 }
 
+TEST(Json, NestingDepthIsLimited) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  // Exactly at the limit parses, arrays and objects alike.
+  EXPECT_TRUE(Json::parse(nested(kJsonMaxDepth, '[', ']')).has_value());
+  std::string objects;
+  for (std::size_t i = 0; i < kJsonMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kJsonMaxDepth, '}');
+  EXPECT_TRUE(Json::parse(objects).has_value());
+
+  // One level deeper is an error that names the limit.
+  const std::string limit = std::to_string(kJsonMaxDepth);
+  std::string error;
+  EXPECT_FALSE(Json::parse(nested(kJsonMaxDepth + 1, '[', ']'), &error).has_value());
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(Json::parse("[" + objects + "]", &error).has_value());
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+
+  // 100,000 unclosed brackets (a 100 KB request body) once overflowed
+  // the stack; now it is the same error.
+  error.clear();
+  EXPECT_FALSE(Json::parse(std::string(100000, '['), &error).has_value());
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+}
+
 TEST(Json, IntegersSerializeWithoutDecimals) {
   Json j(static_cast<std::int64_t>(1'706'745'600));
   EXPECT_EQ(j.dump(), "1706745600");
