@@ -192,9 +192,9 @@ void BM_EncodeBatchCached(benchmark::State& state) {
   const std::size_t n = std::min<std::size_t>(jobs.size(), 512);
   const std::span<const JobRecord> batch(jobs.data(), n);
   static ShardedEmbeddingCache cache(encoder.dim());
-  encoder.encode_batch_cached(batch, cache);  // warm: steady-state = all hits
+  encoder.encode_batch(batch, &cache);  // warm: steady-state = all hits
   for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.encode_batch_cached(batch, cache));
+    benchmark::DoNotOptimize(encoder.encode_batch(batch, &cache));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
   state.SetLabel("sharded LRU, warm");

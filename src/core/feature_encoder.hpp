@@ -6,16 +6,16 @@
 // (§V-A): user name, job name, #cores requested, #nodes requested,
 // environment, plus frequency requested.
 //
-// Encodings are content-addressed by job id in an EncodingCache so that
-// retraining re-uses the vectors computed by earlier Training/Inference
-// workflow triggers (paper §V-A: "we save the job characterizations and
-// encodings of every trigger ... to avoid redundant computations").
+// Encodings are content-addressed by that feature string in a
+// ShardedEmbeddingCache, so retraining re-uses the vectors computed by
+// earlier Training/Inference workflow triggers (paper §V-A: "we save the
+// job characterizations and encodings of every trigger ... to avoid
+// redundant computations") and recurring job names hit across job ids.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/job_record.hpp"
@@ -41,29 +41,6 @@ const char* job_feature_name(JobFeature feature) noexcept;
 /// The paper's augmented feature set for Fugaku.
 std::vector<JobFeature> default_feature_set();
 
-/// Reusable job_id -> embedding store shared by the workflows.
-class EncodingCache {
- public:
-  explicit EncodingCache(std::size_t dim) : dim_(dim) {}
-
-  std::size_t dim() const noexcept { return dim_; }
-  std::size_t size() const noexcept { return index_.size(); }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-
-  /// Returns the cached row or nullptr; counts a hit/miss.
-  const float* lookup(std::uint64_t job_id) noexcept;
-  void store(std::uint64_t job_id, std::span<const float> row);
-  void clear();
-
- private:
-  std::size_t dim_;
-  std::vector<float> rows_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 class FeatureEncoder {
  public:
   explicit FeatureEncoder(std::vector<JobFeature> features = default_feature_set(),
@@ -79,19 +56,13 @@ class FeatureEncoder {
   /// Encode one job.
   std::vector<float> encode(const JobRecord& job) const;
 
-  /// Encode a batch into a row-major matrix; when `cache` is non-null,
-  /// hits are copied from the cache and misses are computed and stored.
-  FeatureMatrix encode_batch(std::span<const JobRecord> jobs, EncodingCache* cache = nullptr,
+  /// Encode a batch into a row-major matrix. When `cache` is non-null,
+  /// rows whose feature string is cached are copied out of it and the
+  /// misses are encoded (in parallel on `pool`) and inserted. The cache
+  /// is keyed by content, so it stays valid across job ids and retrains.
+  FeatureMatrix encode_batch(std::span<const JobRecord> jobs,
+                             ShardedEmbeddingCache* cache = nullptr,
                              ThreadPool* pool = nullptr) const;
-
-  /// Encode a batch through the canonical-text LRU cache (serving fast
-  /// path): hits are copied under the shard lock, misses are encoded
-  /// (optionally in parallel) and inserted. Unlike the job-id-keyed
-  /// EncodingCache above, this deduplicates by *content*, so recurring
-  /// job names hit even across distinct job ids.
-  FeatureMatrix encode_batch_cached(std::span<const JobRecord> jobs,
-                                    ShardedEmbeddingCache& cache,
-                                    ThreadPool* pool = nullptr) const;
 
  private:
   std::vector<JobFeature> features_;

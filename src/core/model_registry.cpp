@@ -1,5 +1,8 @@
 #include "core/model_registry.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -41,17 +44,37 @@ std::optional<std::uint32_t> ModelRegistry::latest_version(const std::string& ta
   return all.back();
 }
 
+namespace {
+
+/// Flush a closed file's data to stable storage.
+bool fsync_path(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
+}
+
+}  // namespace
+
 std::optional<std::uint32_t> ModelRegistry::save(const ClassificationModel& model,
                                                  const std::string& tag) {
   const std::uint32_t version = latest_version(tag).value_or(0) + 1;
   const std::string path = path_for(tag, version);
-  std::ofstream out(path, std::ios::binary);
-  if (!out || !model.save(out)) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    return std::nullopt;
+  // Crash consistency: the final name only ever names a complete file.
+  // A crash part-way leaves a .tmp that versions() never lists.
+  const std::string tmp = path + ".tmp";
+  bool written = false;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    written = out && model.save(out) && out.flush();
   }
-  return version;
+  std::error_code ec;
+  if (written && fsync_path(tmp)) {
+    fs::rename(tmp, path, ec);
+    if (!ec) return version;
+  }
+  fs::remove(tmp, ec);
+  return std::nullopt;
 }
 
 std::optional<ClassificationModel> ModelRegistry::load(

@@ -4,7 +4,9 @@
 //
 // Layout: <root>/<tag>-v<N>.mcbm, N monotonically increasing per tag.
 // Files carry the MCBM magic header, so foreign files are rejected at
-// load time rather than deserialized blindly.
+// load time rather than deserialized blindly. save() writes
+// <tag>-v<N>.mcbm.tmp, fsyncs it and renames it into place, so a crash
+// part-way through a save never leaves a truncated version behind.
 #pragma once
 
 #include <cstdint>

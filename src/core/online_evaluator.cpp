@@ -72,7 +72,10 @@ OnlineEvalResult OnlineEvaluator::evaluate(
     const std::function<ClassificationModel()>& make_model,
     const OnlineEvalConfig& config) const {
   StoreDataFetcher fetcher(*store_);
-  EncodingCache cache(encoder_->dim());
+  // One content-keyed cache for the whole simulation, sized so the
+  // store's every distinct feature string fits: each retrain re-encodes
+  // only strings it has not seen before (paper §V-A).
+  ShardedEmbeddingCache cache(encoder_->dim(), {.capacity = store_->size()});
   const TrainingWorkflow training(fetcher, *characterizer_, *encoder_, &cache, pool_);
   const InferenceWorkflow inference(fetcher, *encoder_, &cache, pool_);
 

@@ -31,7 +31,7 @@ std::vector<JobRecord> apply_theta(std::vector<JobRecord> jobs, const ThetaConfi
 
 TrainingWorkflow::TrainingWorkflow(const DataFetcher& fetcher,
                                    const Characterizer& characterizer,
-                                   const FeatureEncoder& encoder, EncodingCache* cache,
+                                   const FeatureEncoder& encoder, ShardedEmbeddingCache* cache,
                                    ThreadPool* pool)
     : fetcher_(&fetcher), characterizer_(&characterizer), encoder_(&encoder), cache_(cache),
       pool_(pool) {}
@@ -58,15 +58,9 @@ TrainingReport TrainingWorkflow::run(ClassificationModel& model, TimePoint windo
   std::transform(raw_labels.begin(), raw_labels.end(), labels.begin(),
                  [](Boundedness b) { return to_label(b); });
 
-  const std::uint64_t hits_before = cache_ != nullptr ? cache_->hits() : 0;
-  const std::uint64_t misses_before = cache_ != nullptr ? cache_->misses() : 0;
   sw.reset();
   const FeatureMatrix x = encoder_->encode_batch(jobs, cache_, pool_);
   report.encode_seconds = sw.seconds();
-  if (cache_ != nullptr) {
-    report.cache_hits = cache_->hits() - hits_before;
-    report.cache_misses = cache_->misses() - misses_before;
-  }
 
   sw.reset();
   model.training(x.view(), labels, pool_);
@@ -109,7 +103,7 @@ TrainingReport TrainingWorkflow::run_baseline(LookupBaseline& baseline,
 }
 
 InferenceWorkflow::InferenceWorkflow(const DataFetcher& fetcher, const FeatureEncoder& encoder,
-                                     EncodingCache* cache, ThreadPool* pool)
+                                     ShardedEmbeddingCache* cache, ThreadPool* pool)
     : fetcher_(&fetcher), encoder_(&encoder), cache_(cache), pool_(pool) {}
 
 InferenceReport InferenceWorkflow::run(const ClassificationModel& model, TimePoint start,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,14 +43,15 @@ struct TrainingReport {
   double characterize_seconds = 0.0;
   double encode_seconds = 0.0;
   double train_seconds = 0.0;         ///< model fit only (paper's "training time")
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  /// Registry version of the model this run produced; set by
+  /// Framework::train_now when the save succeeded.
+  std::optional<std::uint32_t> version;
 };
 
 class TrainingWorkflow {
  public:
   TrainingWorkflow(const DataFetcher& fetcher, const Characterizer& characterizer,
-                   const FeatureEncoder& encoder, EncodingCache* cache = nullptr,
+                   const FeatureEncoder& encoder, ShardedEmbeddingCache* cache = nullptr,
                    ThreadPool* pool = nullptr);
 
   /// Train `model` on the jobs executed in [window_start, window_end).
@@ -66,7 +68,7 @@ class TrainingWorkflow {
   const DataFetcher* fetcher_;
   const Characterizer* characterizer_;
   const FeatureEncoder* encoder_;
-  EncodingCache* cache_;
+  ShardedEmbeddingCache* cache_;
   ThreadPool* pool_;
 };
 
@@ -89,7 +91,7 @@ struct InferenceReport {
 class InferenceWorkflow {
  public:
   InferenceWorkflow(const DataFetcher& fetcher, const FeatureEncoder& encoder,
-                    EncodingCache* cache = nullptr, ThreadPool* pool = nullptr);
+                    ShardedEmbeddingCache* cache = nullptr, ThreadPool* pool = nullptr);
 
   /// Predict for all jobs *submitted* in [start, end).
   InferenceReport run(const ClassificationModel& model, TimePoint start, TimePoint end) const;
@@ -105,7 +107,7 @@ class InferenceWorkflow {
  private:
   const DataFetcher* fetcher_;
   const FeatureEncoder* encoder_;
-  EncodingCache* cache_;
+  ShardedEmbeddingCache* cache_;
   ThreadPool* pool_;
 };
 

@@ -31,13 +31,11 @@ JobStore::JobStore(JobStore&& other) noexcept {
   by_submit_ = std::move(other.by_submit_);
   submit_index_valid_ = other.submit_index_valid_;
   id_index_ = std::move(other.id_index_);
-  id_index_valid_ = other.id_index_valid_;
   other.jobs_.clear();
   other.by_submit_.clear();
   other.id_index_.clear();
   other.sorted_ = true;
   other.submit_index_valid_ = false;
-  other.id_index_valid_ = true;
 }
 
 bool JobStore::insert(JobRecord job) {
@@ -46,24 +44,16 @@ bool JobStore::insert(JobRecord job) {
 }
 
 bool JobStore::insert_locked(JobRecord job) {
-  if (id_index_valid_ && id_index_.contains(job.job_id)) return false;
-  if (!id_index_valid_) {
-    // The id index is stale (slots moved under a pending re-sort); fall
-    // back to a linear duplicate scan rather than rebuilding mid-insert.
-    for (const JobRecord& existing : jobs_) {
-      if (existing.job_id == job.job_id) return false;
-    }
+  // Appending never moves a slot, so the id index stays exact across
+  // out-of-order inserts; only the re-sort in ensure_sorted_locked
+  // moves slots, and it rebuilds the index.
+  if (!id_index_.emplace(job.job_id, static_cast<std::uint32_t>(jobs_.size())).second) {
+    return false;
   }
   if (!jobs_.empty() && sorted_) {
     const JobRecord& last = jobs_.back();
-    if (job.end_time < last.end_time ||
-        (job.end_time == last.end_time && job.job_id < last.job_id)) {
-      sorted_ = false;
-      id_index_valid_ = false;
-    }
-  }
-  if (id_index_valid_) {
-    id_index_.emplace(job.job_id, static_cast<std::uint32_t>(jobs_.size()));
+    sorted_ = !(job.end_time < last.end_time ||
+                (job.end_time == last.end_time && job.job_id < last.job_id));
   }
   jobs_.push_back(std::move(job));
   submit_index_valid_ = false;
@@ -91,18 +81,12 @@ bool JobStore::empty() const {
 }
 
 void JobStore::ensure_sorted_locked() const {
-  if (!sorted_) {
-    std::sort(jobs_.begin(), jobs_.end(), [](const JobRecord& a, const JobRecord& b) {
-      return a.end_time != b.end_time ? a.end_time < b.end_time : a.job_id < b.job_id;
-    });
-    sorted_ = true;
-  }
-  if (!id_index_valid_) {
-    id_index_.clear();
-    id_index_.reserve(jobs_.size());
-    for (std::uint32_t i = 0; i < jobs_.size(); ++i) id_index_.emplace(jobs_[i].job_id, i);
-    id_index_valid_ = true;
-  }
+  if (sorted_) return;
+  std::sort(jobs_.begin(), jobs_.end(), [](const JobRecord& a, const JobRecord& b) {
+    return a.end_time != b.end_time ? a.end_time < b.end_time : a.job_id < b.job_id;
+  });
+  sorted_ = true;
+  for (std::uint32_t i = 0; i < jobs_.size(); ++i) id_index_[jobs_[i].job_id] = i;
 }
 
 void JobStore::ensure_submit_index_locked() const {
@@ -125,8 +109,6 @@ void JobStore::ensure_submit_index_locked() const {
 
 bool JobStore::sorted_ready_locked() const { return sorted_; }
 
-bool JobStore::find_ready_locked() const { return sorted_ && id_index_valid_; }
-
 bool JobStore::query_ready_locked(JobQuery::TimeField field) const {
   return field == JobQuery::TimeField::kEndTime ? sorted_
                                                 : sorted_ && submit_index_valid_;
@@ -140,7 +122,7 @@ const JobRecord* JobStore::find_locked(std::uint64_t job_id) const {
 const JobRecord* JobStore::find(std::uint64_t job_id) const {
   {
     SharedLock lock(mutex_);
-    if (find_ready_locked()) return find_locked(job_id);
+    if (sorted_ready_locked()) return find_locked(job_id);
   }
   ExclusiveLock lock(mutex_);
   ensure_sorted_locked();
@@ -150,7 +132,7 @@ const JobRecord* JobStore::find(std::uint64_t job_id) const {
 std::optional<JobRecord> JobStore::find_record(std::uint64_t job_id) const {
   {
     SharedLock lock(mutex_);
-    if (find_ready_locked()) {
+    if (sorted_ready_locked()) {
       const JobRecord* job = find_locked(job_id);
       return job != nullptr ? std::optional<JobRecord>(*job) : std::nullopt;
     }
@@ -282,7 +264,6 @@ bool JobStore::load_csv(std::istream& in, std::string* error) {
   jobs_.clear();
   id_index_.clear();
   sorted_ = true;
-  id_index_valid_ = true;
   submit_index_valid_ = false;
 
   CsvReader reader(in);

@@ -118,7 +118,6 @@ class JobStore {
   void ensure_sorted_locked() const MCB_REQUIRES(mutex_);
   void ensure_submit_index_locked() const MCB_REQUIRES(mutex_);
   bool sorted_ready_locked() const MCB_REQUIRES_SHARED(mutex_);
-  bool find_ready_locked() const MCB_REQUIRES_SHARED(mutex_);
   bool query_ready_locked(JobQuery::TimeField field) const
       MCB_REQUIRES_SHARED(mutex_);
   const JobRecord* find_locked(std::uint64_t job_id) const
@@ -134,8 +133,7 @@ class JobStore {
       MCB_GUARDED_BY(mutex_);  // indices sorted by submit_time
   mutable bool submit_index_valid_ MCB_GUARDED_BY(mutex_) = false;
   mutable std::unordered_map<std::uint64_t, std::uint32_t> id_index_
-      MCB_GUARDED_BY(mutex_);  // id -> slot
-  mutable bool id_index_valid_ MCB_GUARDED_BY(mutex_) = true;
+      MCB_GUARDED_BY(mutex_);  // id -> slot; exact after every insert and sort
 };
 
 }  // namespace mcb

@@ -90,11 +90,9 @@ std::optional<JobRecord> parse_job_body(const HttpRequest& request, HttpResponse
 
 }  // namespace
 
-ApiServer::ApiServer(Framework& framework, ServerConfig server_config,
-                     EmbeddingCacheConfig cache_config)
+ApiServer::ApiServer(Framework& framework, ServerConfig server_config)
     : framework_(&framework),
       server_(server_config),
-      embedding_cache_(framework.encoder().dim(), cache_config),
       stage_profile_(server_.tracer(), framework.characterizer()),
       app_collector_([this](std::vector<obs::MetricFamily>& out) {
         collect_app_metrics(out);
@@ -133,12 +131,13 @@ double ApiServer::uptime_seconds() const {
 }
 
 void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
+  const ShardedEmbeddingCache& embedding_cache = framework_->embedding_cache();
   {
     obs::MetricFamily ops;
     ops.name = "mcb_embedding_cache_ops_total";
     ops.help = "Embedding-cache operations by kind.";
     ops.type = obs::MetricType::kCounter;
-    const auto stats = embedding_cache_.stats();
+    const auto stats = embedding_cache.stats();
     const std::pair<const char*, std::uint64_t> kinds[] = {
         {"hit", stats.hits},
         {"miss", stats.misses},
@@ -156,9 +155,9 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     size.help = "Embedding-cache entries (current / capacity).";
     size.type = obs::MetricType::kGauge;
     size.points.push_back(obs::scalar_point(
-        {{"kind", "current"}}, static_cast<double>(embedding_cache_.size())));
+        {{"kind", "current"}}, static_cast<double>(embedding_cache.size())));
     size.points.push_back(obs::scalar_point(
-        {{"kind", "capacity"}}, static_cast<double>(embedding_cache_.capacity())));
+        {{"kind", "capacity"}}, static_cast<double>(embedding_cache.capacity())));
     out.push_back(std::move(size));
   }
 
@@ -192,17 +191,11 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     ready.name = "mcb_ready";
     ready.help = "1 once a trained model is loaded (readiness probe).";
     ready.type = obs::MetricType::kGauge;
-    bool is_ready = false;
+    const auto snap = framework_->snapshot();
     KnnIndexStats index_stats;  // all zero = no index built
-    {
-      MutexLock lock(mutex_);
-      is_ready = framework_->has_model();
-      const ClassificationModel* model = framework_->model();
-      const KnnIndexStats* stats =
-          model != nullptr ? model->knn_index_stats() : nullptr;
-      if (stats != nullptr) index_stats = *stats;
-    }
-    ready.points.push_back(obs::scalar_point({}, is_ready ? 1.0 : 0.0));
+    const KnnIndexStats* stats = snap != nullptr ? snap->model.knn_index_stats() : nullptr;
+    if (stats != nullptr) index_stats = *stats;
+    ready.points.push_back(obs::scalar_point({}, snap != nullptr ? 1.0 : 0.0));
     out.push_back(std::move(ready));
 
     // How KNN inference is served (DESIGN.md §11): unique_rows < rows
@@ -246,8 +239,8 @@ void ApiServer::install_routes() {
   server_.route("POST", "/encode",
                 [this](const HttpRequest& r) { return handle_encode(r); });
   server_.route("GET", "/jobs", [this](const HttpRequest& r) { return handle_jobs(r); });
-  // Observability: /metrics and /debug/requests take no framework lock —
-  // executor/server state + app counters only. /healthz is liveness
+  // Observability: /metrics and /debug/requests read executor/server
+  // state + app counters only. /healthz is liveness
   // (trivially 200 once the listener answers); /readyz gates on a
   // trained model being loaded.
   server_.route("GET", "/metrics",
@@ -270,12 +263,7 @@ HttpResponse ApiServer::handle_healthz(const HttpRequest&) {
 }
 
 HttpResponse ApiServer::handle_readyz(const HttpRequest&) {
-  bool is_ready = false;
-  {
-    MutexLock lock(mutex_);
-    is_ready = framework_->has_model();
-  }
-  if (!is_ready) {
+  if (!framework_->has_model()) {
     return HttpResponse::json(
         503, R"({"ready":false,"reason":"no trained model; POST /train first"})");
   }
@@ -350,15 +338,16 @@ HttpResponse ApiServer::handle_debug_profile(const HttpRequest& request) {
 
 Json ApiServer::metrics() const {
   Json out = server_.stats_json();
-  const auto cache_stats = embedding_cache_.stats();
+  const ShardedEmbeddingCache& embedding_cache = framework_->embedding_cache();
+  const auto cache_stats = embedding_cache.stats();
   Json cache = Json::object();
   cache.set("hits", static_cast<std::int64_t>(cache_stats.hits));
   cache.set("misses", static_cast<std::int64_t>(cache_stats.misses));
   cache.set("insertions", static_cast<std::int64_t>(cache_stats.insertions));
   cache.set("evictions", static_cast<std::int64_t>(cache_stats.evictions));
-  cache.set("size", static_cast<std::int64_t>(embedding_cache_.size()));
-  cache.set("capacity", static_cast<std::int64_t>(embedding_cache_.capacity()));
-  cache.set("shards", static_cast<std::int64_t>(embedding_cache_.shard_count()));
+  cache.set("size", static_cast<std::int64_t>(embedding_cache.size()));
+  cache.set("capacity", static_cast<std::int64_t>(embedding_cache.capacity()));
+  cache.set("shards", static_cast<std::int64_t>(embedding_cache.shard_count()));
   Json batch = Json::object();
   batch.set("requests", static_cast<std::int64_t>(batch_requests_.load()));
   batch.set("jobs", static_cast<std::int64_t>(batch_jobs_.load()));
@@ -381,7 +370,6 @@ HttpResponse ApiServer::handle_encode(const HttpRequest& request) {
   HttpResponse error;
   const auto job = parse_job_body(request, error);
   if (!job.has_value()) return error;
-  MutexLock lock(mutex_);
   const auto embedding = framework_->encoder().encode(*job);
   Json body = Json::object();
   body.set("feature_string", framework_->encoder().feature_string(*job));
@@ -414,14 +402,8 @@ HttpResponse ApiServer::handle_jobs(const HttpRequest& request) {
                                   : JobQuery::TimeField::kEndTime;
   query.start_time = from;
   query.end_time = to;
-  // The store is internally synchronized; only the framework_ deref
-  // needs mutex_, so the scan itself runs without the API lock.
-  const JobStore* store = nullptr;
-  {
-    MutexLock lock(mutex_);
-    store = &framework_->store();
-  }
-  const std::vector<JobRecord> jobs = store->query_records(query);
+  // The store is internally synchronized.
+  const std::vector<JobRecord> jobs = framework_->store().query_records(query);
   Json body = Json::object();
   body.set("count", static_cast<std::int64_t>(jobs.size()));
   Json list = Json::array();
@@ -433,22 +415,22 @@ HttpResponse ApiServer::handle_jobs(const HttpRequest& request) {
 }
 
 HttpResponse ApiServer::handle_health(const HttpRequest&) {
-  MutexLock lock(mutex_);
+  const auto snap = framework_->snapshot();
   Json body = Json::object();
   body.set("status", "ok");
   body.set("model", framework_->model_name());
-  body.set("trained", framework_->has_model());
-  if (framework_->model_version().has_value()) {
-    body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
+  body.set("trained", snap != nullptr);
+  if (snap != nullptr && snap->version.has_value()) {
+    body.set("version", static_cast<std::int64_t>(*snap->version));
   }
   return HttpResponse::json(200, body.dump());
 }
 
 HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
-  MutexLock lock(mutex_);
+  const auto snap = framework_->snapshot();
   Json body = Json::object();
   body.set("model", framework_->model_name());
-  body.set("trained", framework_->has_model());
+  body.set("trained", snap != nullptr);
   body.set("alpha_days", framework_->config().alpha_days);
   body.set("beta_days", framework_->config().beta_days);
   body.set("encoder_dim", static_cast<std::int64_t>(framework_->encoder().dim()));
@@ -458,13 +440,12 @@ HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
     features.push_back(job_feature_name(f));
   }
   body.set("features", features);
-  if (framework_->model_version().has_value()) {
-    body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
+  if (snap != nullptr && snap->version.has_value()) {
+    body.set("version", static_cast<std::int64_t>(*snap->version));
   }
   // The exact KNN spatial index (DESIGN.md §11), present once a p = 2
   // KNN model is trained.
-  const ClassificationModel* model = framework_->model();
-  if (const KnnIndexStats* stats = model != nullptr ? model->knn_index_stats() : nullptr) {
+  if (const KnnIndexStats* stats = snap != nullptr ? snap->model.knn_index_stats() : nullptr) {
     Json index_json = Json::object();
     index_json.set("rows", static_cast<std::int64_t>(stats->rows));
     index_json.set("unique_rows", static_cast<std::int64_t>(stats->unique_rows));
@@ -480,7 +461,6 @@ HttpResponse ApiServer::handle_characterize(const HttpRequest& request) {
   const auto job = parse_job_body(request, error);
   if (!job.has_value()) return error;
 
-  MutexLock lock(mutex_);
   const auto metrics = framework_->job_metrics(*job);
   if (!metrics.has_value()) {
     return error_response(400, "job cannot be characterized (invalid duration/nodes)");
@@ -507,14 +487,11 @@ HttpResponse ApiServer::handle_predict(const HttpRequest& request) {
   }
   if (!job.has_value()) return error;
 
-  MutexLock lock(mutex_);
-  if (!framework_->has_model()) {
-    return error_response(503, "no trained model; POST /train first");
-  }
   // Single-job requests ride the batched fast path too, so recurring
   // submissions (same canonical feature string) hit the embedding cache.
-  const auto labels = framework_->predict_batch({&*job, 1}, &embedding_cache_);
-  if (labels.empty()) return error_response(500, "prediction failed");
+  // An empty result means no model is trained yet.
+  const auto labels = framework_->predict_batch({&*job, 1});
+  if (labels.empty()) return error_response(503, "no trained model; POST /train first");
   Json body = Json::object();
   body.set("job_id", static_cast<std::int64_t>(job->job_id));
   body.set("label", boundedness_name(to_boundedness(labels.front())));
@@ -555,14 +532,9 @@ HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
     }
   }
 
-  std::vector<Label> labels;
-  {
-    MutexLock lock(mutex_);
-    if (!framework_->has_model()) {
-      return error_response(503, "no trained model; POST /train first");
-    }
-    labels = framework_->predict_batch(jobs, &embedding_cache_);
-  }
+  // An empty result means no model is trained yet (jobs is non-empty).
+  const std::vector<Label> labels = framework_->predict_batch(jobs);
+  if (labels.empty()) return error_response(503, "no trained model; POST /train first");
   if (labels.size() != jobs.size()) return error_response(500, "prediction failed");
 
   // relaxed: independent monotonic batch counters read only by
@@ -588,7 +560,6 @@ HttpResponse ApiServer::handle_train(const HttpRequest& request) {
   std::string parse_error;
   const auto json = Json::parse(request.body.empty() ? "{}" : request.body, &parse_error);
   if (!json.has_value()) return error_response(400, "invalid JSON: " + parse_error);
-  MutexLock lock(mutex_);
   const TimePoint now = json->contains("now")
                             ? (*json)["now"].as_int()
                             : framework_->store().max_end_time() + 1;
@@ -601,15 +572,14 @@ HttpResponse ApiServer::handle_train(const HttpRequest& request) {
   log::info("api", "model trained",
             {log::Field("jobs_used", static_cast<std::int64_t>(report.jobs_used)),
              log::Field("train_seconds", report.train_seconds),
-             log::Field("version", static_cast<std::int64_t>(
-                                       framework_->model_version().value_or(0)))});
+             log::Field("version", static_cast<std::int64_t>(report.version.value_or(0)))});
   Json body = Json::object();
   body.set("jobs_used", static_cast<std::int64_t>(report.jobs_used));
   body.set("train_seconds", report.train_seconds);
   body.set("encode_seconds", report.encode_seconds);
   body.set("characterize_seconds", report.characterize_seconds);
-  if (framework_->model_version().has_value()) {
-    body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
+  if (report.version.has_value()) {
+    body.set("version", static_cast<std::int64_t>(*report.version));
   }
   return HttpResponse::json(201, body.dump());
 }

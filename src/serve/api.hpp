@@ -14,13 +14,14 @@
 //   GET  /debug/profile -> ?seconds=N&hz=H: blocking SIGPROF capture of the
 //                          whole process; flamegraph-ready collapsed stacks
 //
-// Mutating endpoints are serialized by an internal mutex; read endpoints
-// take the same lock briefly to snapshot model state (the framework is
-// not internally synchronized). /predict and /classify_batch run the
-// batched inference fast path: embeddings come from a sharded
-// canonical-text LRU cache (recurring job names hit without encoding)
-// and the whole batch goes through the flat-forest / tiled-KNN kernels
-// in one pool dispatch.
+// Handlers take no API-level lock: the framework is safe to share.
+// Each request reads the live model through one immutable snapshot, so
+// /train builds the next version while classification keeps serving the
+// current one. /predict and /classify_batch run the batched inference
+// fast path: embeddings come from the framework's sharded canonical-text
+// LRU cache (recurring job names hit without encoding) and the whole
+// batch goes through the flat-forest / KNN-index kernels in one pool
+// dispatch.
 #pragma once
 
 #include <atomic>
@@ -32,9 +33,7 @@
 #include "obs/perf/counters.hpp"
 #include "roofline/stage_profile.hpp"
 #include "serve/server.hpp"
-#include "text/embedding_cache.hpp"
 #include "util/json.hpp"
-#include "util/sync.hpp"
 
 namespace mcb {
 
@@ -47,10 +46,8 @@ std::optional<JobRecord> job_from_json(const Json& json, std::string* error = nu
 class ApiServer {
  public:
   /// `server_config` tunes the connection executor (pool size, pending
-  /// queue bound, timeouts, drain budget) — see ServerConfig;
-  /// `cache_config` sizes the canonical-text embedding cache.
-  explicit ApiServer(Framework& framework, ServerConfig server_config = {},
-                     EmbeddingCacheConfig cache_config = {});
+  /// queue bound, timeouts, drain budget) — see ServerConfig.
+  explicit ApiServer(Framework& framework, ServerConfig server_config = {});
 
   /// Start serving on the given port (0 = ephemeral). Returns false on
   /// bind failure.
@@ -62,9 +59,6 @@ class ApiServer {
   /// route stats from the HttpServer plus the app section (embedding
   /// cache hit/miss/evict, classify_batch batch-size counters).
   Json metrics() const;
-
-  /// The serving-side embedding cache (exposed for tests/ops).
-  ShardedEmbeddingCache& embedding_cache() noexcept { return embedding_cache_; }
 
   /// The metrics registry (server stats + tracer + app counters); the
   /// Prometheus exposition is render_prometheus(registry().gather()).
@@ -99,14 +93,9 @@ class ApiServer {
   HttpResponse handle_classify_batch(const HttpRequest& request);
   HttpResponse handle_train(const HttpRequest& request);
 
-  /// The framework is not internally synchronized: every handler that
-  /// touches it (train, predict, encode, characterize, model info)
-  /// derefs under mutex_ — enforced at compile time by pt_guarded_by.
-  Framework* framework_ MCB_PT_GUARDED_BY(mutex_);
+  Framework* framework_;
   HttpServer server_;
-  mutable Mutex mutex_;
 
-  mutable ShardedEmbeddingCache embedding_cache_;
   std::atomic<std::uint64_t> batch_requests_{0};  ///< /classify_batch calls served
   std::atomic<std::uint64_t> batch_jobs_{0};      ///< jobs classified across them
   std::atomic<std::uint64_t> batch_max_{0};       ///< largest single batch

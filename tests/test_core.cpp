@@ -97,57 +97,73 @@ TEST(FeatureEncoder, FrequencyChangesEncoding) {
   EXPECT_NE(encoder.encode(a), encoder.encode(b));
 }
 
-TEST(EncodingCache, HitsAndMisses) {
+TEST(EmbeddingCacheEncode, HitsAndMisses) {
   const FeatureEncoder encoder;
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim());
   std::vector<JobRecord> jobs{submission(1, "a", "x"), submission(2, "b", "y")};
   const FeatureMatrix first = encoder.encode_batch(jobs, &cache);
-  EXPECT_EQ(cache.misses(), 2U);
-  EXPECT_EQ(cache.hits(), 0U);
+  EXPECT_EQ(cache.stats().misses, 2U);
+  EXPECT_EQ(cache.stats().hits, 0U);
   EXPECT_EQ(cache.size(), 2U);
 
   const FeatureMatrix second = encoder.encode_batch(jobs, &cache);
-  EXPECT_EQ(cache.hits(), 2U);
+  EXPECT_EQ(cache.stats().hits, 2U);
   EXPECT_EQ(second.storage(), first.storage());
 }
 
-TEST(EncodingCache, CachedRowsMatchFreshEncoding) {
+TEST(EmbeddingCacheEncode, CachedRowsMatchFreshEncoding) {
   const FeatureEncoder encoder;
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim());
   std::vector<JobRecord> jobs{submission(7, "u9", "qcd_run_z")};
   encoder.encode_batch(jobs, &cache);
-  const float* row = cache.lookup(7);
-  ASSERT_NE(row, nullptr);
-  const auto fresh = encoder.encode(jobs[0]);
-  for (std::size_t i = 0; i < encoder.dim(); ++i) EXPECT_EQ(row[i], fresh[i]);
+  std::vector<float> row(encoder.dim());
+  ASSERT_TRUE(cache.lookup(encoder.feature_string(jobs[0]), row));
+  EXPECT_EQ(row, encoder.encode(jobs[0]));
 }
 
-TEST(EncodingCache, AnonymousJobsAreNeverCached) {
-  // Regression: two ad-hoc jobs with job_id == 0 must not share an
-  // embedding through the cache.
+TEST(EmbeddingCacheEncode, KeyIsContentNotJobId) {
+  // One id with two contents gets two embeddings; one content under two
+  // ids is one entry (the cache replaces a job-id-keyed one whose rows
+  // went stale when an id was reused).
   const FeatureEncoder encoder;
-  EncodingCache cache(encoder.dim());
-  std::vector<JobRecord> first{submission(0, "u1", "stream_app")};
-  std::vector<JobRecord> second{submission(0, "u2", "dgemm_app")};
+  ShardedEmbeddingCache cache(encoder.dim());
+  std::vector<JobRecord> first{submission(4, "u1", "stream_app")};
+  std::vector<JobRecord> second{submission(4, "u2", "dgemm_app")};
   const FeatureMatrix a = encoder.encode_batch(first, &cache);
   const FeatureMatrix b = encoder.encode_batch(second, &cache);
-  EXPECT_EQ(cache.size(), 0U);
   EXPECT_NE(a.storage(), b.storage());
+  EXPECT_EQ(b.storage(), encoder.encode(second[0]));
+
+  std::vector<JobRecord> renumbered{submission(99, "u1", "stream_app")};
+  EXPECT_EQ(encoder.encode_batch(renumbered, &cache).storage(), a.storage());
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().hits, 1U);
 }
 
-TEST(EncodingCache, ClearResets) {
-  EncodingCache cache(4);
-  const std::vector<float> row{1, 2, 3, 4};
-  cache.store(1, row);
+TEST(EmbeddingCacheEncode, ClearResets) {
+  const FeatureEncoder encoder;
+  ShardedEmbeddingCache cache(encoder.dim());
+  std::vector<JobRecord> jobs{submission(1, "a", "x")};
+  encoder.encode_batch(jobs, &cache);
   cache.clear();
   EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.lookup(1), nullptr);
+  std::vector<float> row(encoder.dim());
+  EXPECT_FALSE(cache.lookup(encoder.feature_string(jobs[0]), row));
+  encoder.encode_batch(jobs, &cache);
+  EXPECT_EQ(cache.stats().hits, 0U);
+  EXPECT_EQ(cache.size(), 1U);
 }
 
-TEST(EncodingCache, RejectsWrongDimension) {
-  EncodingCache cache(4);
+TEST(EmbeddingCacheEncode, RejectsWrongDimension) {
+  ShardedEmbeddingCache cache(4);
   const std::vector<float> row{1, 2};
-  cache.store(1, row);
+  cache.insert("u,job", row);
+  EXPECT_EQ(cache.size(), 0U);
+  // A cache of another width is never read by the encoder: every row
+  // misses and is encoded.
+  const FeatureEncoder encoder;
+  std::vector<JobRecord> jobs{submission(1, "a", "x")};
+  EXPECT_EQ(encoder.encode_batch(jobs, &cache).storage(), encoder.encode(jobs[0]));
   EXPECT_EQ(cache.size(), 0U);
 }
 
@@ -247,7 +263,7 @@ class WorkflowTest : public ::testing::Test {
 
 TEST_F(WorkflowTest, TrainingWorkflowProducesWorkingModel) {
   StoreDataFetcher fetcher(store_);
-  EncodingCache cache(encoder_.dim());
+  ShardedEmbeddingCache cache(encoder_.dim());
   const TrainingWorkflow training(fetcher, characterizer_, encoder_, &cache);
 
   ClassificationModel model(ModelKind::kKnn);
@@ -256,7 +272,8 @@ TEST_F(WorkflowTest, TrainingWorkflowProducesWorkingModel) {
   EXPECT_EQ(report.jobs_used, 80U);
   EXPECT_EQ(report.uncharacterizable, 0U);
   EXPECT_TRUE(model.is_trained());
-  EXPECT_EQ(report.cache_misses, 80U);
+  EXPECT_EQ(cache.stats().misses, 80U);
+  EXPECT_EQ(cache.size(), 2U);  // two distinct feature strings
 
   // Inference on fresh submissions of the two app families.
   const InferenceWorkflow inference(fetcher, encoder_, &cache);
@@ -295,7 +312,7 @@ TEST_F(WorkflowTest, TrainingReportTimesArePopulated) {
 
 TEST_F(WorkflowTest, InferenceWorkflowFetchesBySubmitTime) {
   StoreDataFetcher fetcher(store_);
-  EncodingCache cache(encoder_.dim());
+  ShardedEmbeddingCache cache(encoder_.dim());
   const TrainingWorkflow training(fetcher, characterizer_, encoder_, &cache);
   ClassificationModel model(ModelKind::kKnn);
   training.run(model, 0, timepoint_from_ymd(2024, 2, 1));
@@ -511,6 +528,20 @@ TEST_F(RegistryTest, LoadRejectsWrongKind) {
   EXPECT_FALSE(registry.load(ModelKind::kRandomForest, "knn").has_value());
 }
 
+TEST_F(RegistryTest, SaveRenamesIntoPlaceAndTmpFilesAreNotVersions) {
+  ModelRegistry registry(dir_);
+  {
+    // What a crash part-way through saving version 7 leaves behind.
+    std::ofstream out(registry.path_for("knn", 7) + ".tmp", std::ios::binary);
+    out << "MCBM half a model";
+  }
+  EXPECT_TRUE(registry.versions("knn").empty());
+  EXPECT_EQ(registry.save(trained_knn(), "knn"), 1U);
+  EXPECT_TRUE(fs::exists(registry.path_for("knn", 1)));
+  EXPECT_FALSE(fs::exists(registry.path_for("knn", 1) + ".tmp"));
+  EXPECT_EQ(registry.versions("knn"), std::vector<std::uint32_t>{1});
+}
+
 // ----------------------------------------------------------------- config
 
 TEST(Config, DefaultsRoundTripThroughJson) {
@@ -596,13 +627,19 @@ TEST(Config, ParseJobFeatureNames) {
 
 // -------------------------------------------------------------- framework
 
-TEST(Framework, TrainPredictAndRegistryLifecycle) {
-  const std::string registry_dir =
-      (fs::temp_directory_path() / "mcb_framework_test").string();
-  fs::remove_all(registry_dir);
+/// KNN over a 30-day window, persisting to `registry_dir`.
+FrameworkConfig lifecycle_config(const std::string& registry_dir) {
+  FrameworkConfig config;
+  config.registry_dir = registry_dir;
+  config.model = ModelKind::kKnn;
+  config.alpha_days = 30;
+  return config;
+}
 
+/// 60 executed jobs an hour apart from `base`: even ids "stream_app"
+/// (u1, memory-bound), odd ids "dgemm_app" (u2, compute-bound).
+JobStore lifecycle_store(TimePoint base) {
   JobStore store;
-  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
   for (std::uint64_t i = 0; i < 60; ++i) {
     const bool compute = i % 2 == 1;
     JobRecord job = executed(i, compute ? "dgemm_app" : "stream_app", compute,
@@ -610,11 +647,18 @@ TEST(Framework, TrainPredictAndRegistryLifecycle) {
     job.user_name = compute ? "u2" : "u1";
     store.insert(std::move(job));
   }
+  return store;
+}
 
-  FrameworkConfig config;
-  config.registry_dir = registry_dir;
-  config.model = ModelKind::kKnn;
-  config.alpha_days = 30;
+TEST(Framework, TrainPredictAndRegistryLifecycle) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_test").string();
+  fs::remove_all(registry_dir);
+
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  const JobStore store = lifecycle_store(base);
+
+  const FrameworkConfig config = lifecycle_config(registry_dir);
   Framework framework(config, store);
   EXPECT_FALSE(framework.has_model());
   EXPECT_FALSE(framework.predict_job(submission(1, "u1", "stream_app")).has_value());
@@ -665,6 +709,77 @@ TEST(Framework, PredictRangeUsesSubmitTimes) {
   framework.train_now(base + 40 * 3600);
   const auto report = framework.predict_range(base - 2000, base + 40 * 3600);
   EXPECT_EQ(report.size(), 40U);
+  fs::remove_all(registry_dir);
+}
+
+TEST(Framework, PredictJobAndPredictBatchAgreeOnAReusedJobId) {
+  // Job 4 trained as a memory-bound stream_app. A later submission that
+  // reuses id 4 for a dgemm_app must be classified by its own content:
+  // a job-id-keyed embedding cache used to hand predict_job the stale
+  // stream_app row, so it answered memory-bound here.
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_reused_id").string();
+  fs::remove_all(registry_dir);
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  const JobStore store = lifecycle_store(base);
+  const FrameworkConfig config = lifecycle_config(registry_dir);
+  Framework framework(config, store);
+  ASSERT_GT(framework.train_now(base + 100 * 3600).jobs_used, 0U);
+
+  const JobRecord reused = submission(4, "u2", "dgemm_app");
+  const auto single = framework.predict_job(reused);
+  const auto batch = framework.predict_batch({&reused, 1});
+  ASSERT_TRUE(single.has_value());
+  ASSERT_EQ(batch.size(), 1U);
+  EXPECT_EQ(*single, to_boundedness(batch.front()));
+  EXPECT_EQ(*single, Boundedness::kComputeBound);
+  EXPECT_EQ(framework.predict_job(submission(5000, "u2", "dgemm_app")), Boundedness::kComputeBound);
+  fs::remove_all(registry_dir);
+}
+
+TEST(Framework, RetrainReusesTrainingEmbeddings) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_cache").string();
+  fs::remove_all(registry_dir);
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  const JobStore store = lifecycle_store(base);
+  const FrameworkConfig config = lifecycle_config(registry_dir);
+  Framework framework(config, store);
+  framework.train_now(base + 100 * 3600);
+  const auto first = framework.embedding_cache().stats();
+  EXPECT_EQ(first.hits, 0U);
+  EXPECT_EQ(first.insertions, 2U);  // two distinct feature strings
+
+  // The retrain and a prediction of a trained string encode nothing new.
+  framework.train_now(base + 101 * 3600);
+  EXPECT_TRUE(framework.predict_job(submission(7000, "u1", "stream_app")).has_value());
+  const auto second = framework.embedding_cache().stats();
+  EXPECT_EQ(second.hits - first.hits, 61U);
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_EQ(second.insertions, first.insertions);
+  EXPECT_EQ(framework.model_version(), 2U);
+  fs::remove_all(registry_dir);
+}
+
+TEST(Framework, LoadLatestModelFallsBackPastATruncatedVersion) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_truncated").string();
+  fs::remove_all(registry_dir);
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  const JobStore store = lifecycle_store(base);
+  const FrameworkConfig config = lifecycle_config(registry_dir);
+  {
+    Framework framework(config, store);
+    framework.train_now(base + 100 * 3600);
+    framework.train_now(base + 101 * 3600);
+    ASSERT_EQ(framework.model_version(), 2U);
+    const std::string newest = framework.registry().path_for(framework.model_name(), 2);
+    fs::resize_file(newest, fs::file_size(newest) / 2);
+  }
+  Framework warm(config, store);
+  ASSERT_TRUE(warm.load_latest_model());
+  EXPECT_EQ(warm.model_version(), 1U);
+  EXPECT_EQ(warm.predict_job(submission(3000, "u2", "dgemm_app")), Boundedness::kComputeBound);
   fs::remove_all(registry_dir);
 }
 

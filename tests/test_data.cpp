@@ -190,6 +190,33 @@ TEST(JobStore, FindSurvivesResorting) {
   EXPECT_EQ(b->submit_time, 1000);
 }
 
+TEST(JobStore, DuplicatesRejectedAndFindWorksAcrossOutOfOrderInserts) {
+  // Reversed order: every insert after the first is out of order, and
+  // no read in between sorts the store.
+  JobStore store;
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t id = 200; id >= 1; --id) {
+    jobs.push_back(make_job(id, static_cast<TimePoint>(id) * 1000));
+  }
+  EXPECT_EQ(store.insert_all(std::move(jobs)), 200U);
+  EXPECT_FALSE(store.insert(make_job(150, 1)));
+  EXPECT_FALSE(store.insert(make_job(1, 999'999)));
+  std::vector<JobRecord> again{make_job(7, 5), make_job(201, 5), make_job(201, 6)};
+  EXPECT_EQ(store.insert_all(std::move(again)), 1U);
+  EXPECT_EQ(store.size(), 201U);
+
+  for (std::uint64_t id = 1; id <= 201; ++id) {
+    const JobRecord* job = store.find(id);
+    ASSERT_NE(job, nullptr) << id;
+    EXPECT_EQ(job->job_id, id);
+  }
+  EXPECT_EQ(store.find(7)->submit_time, 7000);  // the first insert won
+  EXPECT_EQ(store.find(0), nullptr);
+  // After the sort, duplicates are still caught through the rebuilt index.
+  EXPECT_FALSE(store.insert(make_job(42, 3)));
+  EXPECT_EQ(store.find_record(201)->submit_time, 5);
+}
+
 TEST(JobStore, InsertAllCountsInsertions) {
   JobStore store;
   std::vector<JobRecord> jobs{make_job(1, 10), make_job(2, 20), make_job(1, 30)};

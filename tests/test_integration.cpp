@@ -143,24 +143,30 @@ TEST_F(IntegrationTest, TrainingTimeScalesWithAlphaForRf) {
   EXPECT_GT(large_result.train_seconds.mean(), small_result.train_seconds.mean());
 }
 
-TEST_F(IntegrationTest, EncodingCacheEliminatesRecomputation) {
+TEST_F(IntegrationTest, EmbeddingCacheEliminatesRecomputation) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
   StoreDataFetcher fetcher(*store_);
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim(), {.capacity = store_->size()});
   const TrainingWorkflow training(fetcher, ch, encoder, &cache);
 
   const TimePoint t = timepoint_from_ymd(2024, 2, 1);
   ClassificationModel first(ModelKind::kKnn);
   const auto report1 = training.run(first, t - 15 * kSecondsPerDay, t);
-  EXPECT_EQ(report1.cache_hits, 0U);
-  EXPECT_GT(report1.cache_misses, 0U);
+  const auto stats1 = cache.stats();
+  EXPECT_EQ(stats1.hits, 0U);
+  EXPECT_EQ(stats1.misses, report1.jobs_used);
+  // Recurring job names: far fewer distinct strings than jobs.
+  EXPECT_LT(stats1.insertions * 2, report1.jobs_used);
 
   // Retraining a day later re-uses all overlapping encodings (§V-A).
   ClassificationModel second(ModelKind::kKnn);
   const auto report2 =
       training.run(second, t - 14 * kSecondsPerDay, t + kSecondsPerDay);
-  EXPECT_GT(report2.cache_hits, report2.cache_misses * 5);
+  const std::uint64_t hits = cache.stats().hits - stats1.hits;
+  const std::uint64_t misses = cache.stats().misses - stats1.misses;
+  EXPECT_EQ(hits + misses, report2.jobs_used);
+  EXPECT_GT(hits, misses * 5);
 }
 
 TEST_F(IntegrationTest, ThetaRandomBeatsLatestAtSmallBudgets) {

@@ -829,16 +829,16 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
   EXPECT_EQ(labels[1].as_string(), "compute-bound");
   EXPECT_EQ(labels[2].as_string(), "memory-bound");
 
-  // A repeat of the whole batch is pure embedding-cache hits (lookups
-  // run before the miss-encoding pass, so intra-batch duplicates miss
-  // on the first round); the app metrics section must reflect that.
+  // Training warmed the framework's one embedding cache with both
+  // canonical strings, so this batch and its repeat are pure hits; the
+  // app metrics section must reflect that.
   EXPECT_EQ(call("POST", "/classify_batch", batch).status, 200);
   const auto metrics = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(metrics.has_value());
   const Json& cache = (*metrics)["app"]["embedding_cache"];
-  EXPECT_EQ(cache["hits"].as_int(), 3);    // the repeated batch
-  EXPECT_EQ(cache["misses"].as_int(), 3);  // first batch, duplicate included
-  EXPECT_EQ(cache["size"].as_int(), 2);    // two distinct canonical strings
+  EXPECT_EQ(cache["hits"].as_int(), 6);     // both batches
+  EXPECT_EQ(cache["misses"].as_int(), 60);  // the training window, one per job
+  EXPECT_EQ(cache["size"].as_int(), 2);     // two distinct canonical strings
   const Json& counters = (*metrics)["app"]["classify_batch"];
   EXPECT_EQ(counters["requests"].as_int(), 2);
   EXPECT_EQ(counters["jobs"].as_int(), 6);
@@ -848,13 +848,20 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
 TEST_F(ApiTest, PredictSharesEmbeddingCacheWithBatch) {
   ASSERT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
             201);
+  const auto cache_stat = [this](const char* key) {
+    return (*Json::parse(call("GET", "/metrics").body))["app"]["embedding_cache"][key].as_int();
+  };
+  const std::int64_t hits = cache_stat("hits");
+  const std::int64_t misses = cache_stat("misses");
+  // A string the training window never held: the first /predict encodes
+  // it, the second and the batch read it from the cache.
   const std::string job =
-      R"({"job_name":"stream_app","user_name":"u1","nodes_requested":2,"cores_requested":96,"environment":"env"})";
+      R"({"job_name":"new_app","user_name":"u1","nodes_requested":2,"cores_requested":96,"environment":"env"})";
   EXPECT_EQ(call("POST", "/predict", job).status, 200);
   EXPECT_EQ(call("POST", "/predict", job).status, 200);
-  const auto metrics = Json::parse(call("GET", "/metrics").body);
-  EXPECT_GE((*metrics)["app"]["embedding_cache"]["hits"].as_int(), 1);
-  EXPECT_EQ((*metrics)["app"]["embedding_cache"]["misses"].as_int(), 1);
+  EXPECT_EQ(call("POST", "/classify_batch", "{\"jobs\":[" + job + "]}").status, 200);
+  EXPECT_EQ(cache_stat("hits") - hits, 2);
+  EXPECT_EQ(cache_stat("misses") - misses, 1);
 }
 
 TEST_F(ApiTest, TrainEmptyWindowIs409) {
@@ -1179,6 +1186,122 @@ TEST_F(ApiTest, EndToEndOverSockets) {
   EXPECT_GE((*metrics)["server"]["accepted"].as_int(), 4);
   EXPECT_GE((*metrics)["server"]["handled"].as_int(), 3);
   api_->stop();
+}
+
+TEST(ApiSnapshot, ClassifyDuringRetrainSeesExactlyOneModel) {
+  // "flip_app" is memory-bound on day 0 and compute-bound on day 2. With
+  // a one-day window, training at the end of day 0 and at the end of
+  // day 2 gives two models that disagree on it and agree on the rest.
+  const std::string registry_dir = (fs::temp_directory_path() / "mcb_api_snapshot").string();
+  fs::remove_all(registry_dir);
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  const char* const names[] = {"stream_app", "dgemm_app", "flip_app"};
+  JobStore store;
+  std::uint64_t id = 0;
+  for (const int day : {0, 2}) {
+    for (int k = 0; k < 30; ++k) {
+      const std::string name = names[k % 3];
+      const bool compute = name == "dgemm_app" || (name == "flip_app" && day == 2);
+      JobRecord job;
+      job.job_id = ++id;
+      job.user_name = "u1";
+      job.job_name = name;
+      job.environment = "env";
+      job.nodes_requested = job.nodes_allocated = 2;
+      job.cores_requested = 96;
+      job.end_time = base + day * kSecondsPerDay + k * 1200;
+      job.start_time = job.end_time - 900;
+      job.submit_time = job.start_time - 100;
+      job.perf2 = compute ? 1e15 : 1e6;
+      job.perf4 = job.perf5 = compute ? 1e6 : 1e12;
+      store.insert(std::move(job));
+    }
+  }
+  const TimePoint old_now = base + kSecondsPerDay;
+  const TimePoint new_now = base + 3 * kSecondsPerDay;
+
+  std::vector<JobRecord> jobs;
+  Json list = Json::array();
+  for (int k = 0; k < 12; ++k) {
+    JobRecord job;
+    job.job_name = names[k % 3];
+    job.user_name = "u1";
+    job.environment = "env";
+    job.nodes_requested = 2;
+    job.cores_requested = 96;
+    list.push_back(job_to_json(job));
+    jobs.push_back(std::move(job));
+  }
+  Json body = Json::object();
+  body.set("jobs", list);
+
+  FrameworkConfig config;
+  config.model = ModelKind::kKnn;
+  config.alpha_days = 1;
+  const auto offline_labels = [&](TimePoint now, const std::string& dir) {
+    config.registry_dir = registry_dir + "/" + dir;
+    Framework offline(config, store);
+    offline.train_now(now);
+    std::vector<std::string> out;
+    for (const Label label : offline.predict_batch(jobs)) {
+      out.push_back(boundedness_name(to_boundedness(label)));
+    }
+    return out;
+  };
+  const std::vector<std::string> old_labels = offline_labels(old_now, "old");
+  const std::vector<std::string> new_labels = offline_labels(new_now, "new");
+  ASSERT_EQ(old_labels.size(), jobs.size());
+  ASSERT_NE(old_labels, new_labels);
+
+  config.registry_dir = registry_dir + "/live";
+  Framework framework(config, store);
+  const ApiServer api(framework);
+  const auto post = [&api](const std::string& path, const std::string& request_body) {
+    HttpRequest request;
+    request.method = "POST";
+    request.path = path;
+    request.body = request_body;
+    return api.dispatch(request);
+  };
+  ASSERT_EQ(post("/train", "{\"now\": " + std::to_string(old_now) + "}").status, 201);
+
+  constexpr int kTrains = 12;
+  constexpr int kMinRequestsPerThread = 8;
+  std::atomic<bool> training_done{false};
+  std::atomic<int> trains_ok{0}, served{0}, bad_status{0}, torn{0};
+  std::thread trainer([&] {
+    for (int i = 0; i < kTrains; ++i) {
+      const TimePoint now = i % 2 == 0 ? new_now : old_now;
+      if (post("/train", "{\"now\": " + std::to_string(now) + "}").status == 201) ++trains_ok;
+    }
+    training_done = true;
+  });
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      for (int n = 0; n < kMinRequestsPerThread || !training_done; ++n) {
+        const HttpResponse response = post("/classify_batch", body.dump());
+        if (response.status != 200) {
+          ++bad_status;
+          continue;
+        }
+        const Json parsed = Json::parse(response.body).value_or(Json{});
+        std::vector<std::string> labels;
+        for (const Json& label : parsed["labels"].as_array()) labels.push_back(label.as_string());
+        if (labels != old_labels && labels != new_labels) ++torn;
+        ++served;
+      }
+    });
+  }
+  trainer.join();
+  for (auto& client : clients) client.join();
+
+  EXPECT_EQ(trains_ok.load(), kTrains);
+  EXPECT_EQ(bad_status.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GE(served.load(), 4 * kMinRequestsPerThread);
+  EXPECT_EQ(framework.model_version(), static_cast<std::uint32_t>(kTrains + 1));
+  fs::remove_all(registry_dir);
 }
 
 }  // namespace
