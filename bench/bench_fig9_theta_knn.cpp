@@ -7,12 +7,13 @@
 // shrinks as theta grows — because Fugaku jobs arrive in batches of
 // identical jobs, "latest" picks redundant duplicates.
 //
-// Since PR 6 the KNN path serves these sweeps through the pruned
-// spatial index (DESIGN.md §11) whenever a theta window reaches the
-// index threshold; predictions — and therefore every F1 in this figure
-// — are bit-identical to the brute-force scan by the shared-TopK
-// contract, only faster (the duplicate batches above collapse into
-// single index points). bench_fig8_inference_time gates the speedup.
+// The KNN path serves these sweeps through the index over unique
+// training rows (DESIGN.md §11) and searches each distinct test row
+// once; predictions — and therefore every F1 in this figure — are
+// bit-identical to the brute-force scan by the shared-TopK contract,
+// only faster (the duplicate batches above collapse into single index
+// points and single queries). bench_fig8_inference_time gates the
+// speedup.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

@@ -74,7 +74,7 @@ struct TrainedModels {
   ClassificationModel knn{ModelKind::kKnn};
   ClassificationModel rf{ModelKind::kRandomForest};
   RandomForestClassifier rf_raw;  ///< concrete handle for the reference RF path
-  KnnClassifier knn_indexed;      ///< pruned spatial index (DESIGN.md §11)
+  KnnClassifier knn_indexed;      ///< unique-point index (DESIGN.md §11)
 
   TrainedModels() {
     const FeatureEncoder encoder;
@@ -118,7 +118,7 @@ void BM_KnnInference(benchmark::State& state) {
     benchmark::DoNotOptimize(m.knn.inference(m.query.view()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel("spatial index over 4000x384 train matrix");
+  state.SetLabel("unique-point index over 4000x384 train matrix");
 }
 BENCHMARK(BM_KnnInference);
 
@@ -182,7 +182,7 @@ void BM_KnnInferenceBatchIndexed(benchmark::State& state) {
     benchmark::DoNotOptimize(m.knn_indexed.predict(m.batch.view()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * m.batch.view().rows));
-  state.SetLabel("bounding-box tree + duplicate groups");
+  state.SetLabel("unique-point scan + distinct queries");
 }
 BENCHMARK(BM_KnnInferenceBatchIndexed);
 

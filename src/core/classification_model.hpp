@@ -57,7 +57,7 @@ class ClassificationModel {
   Classifier& classifier() noexcept { return *classifier_; }
   const Classifier& classifier() const noexcept { return *classifier_; }
 
-  /// Stats of the KNN spatial index (DESIGN.md §11) serving this model's
+  /// Stats of the KNN index (DESIGN.md §11) serving this model's
   /// queries, or nullptr when the model is not a fitted p = 2 KNN.
   const KnnIndexStats* knn_index_stats() const noexcept;
 

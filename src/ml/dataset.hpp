@@ -22,6 +22,19 @@ struct FeatureView {
   bool empty() const noexcept { return rows == 0 || cols == 0; }
 };
 
+/// Rows of a matrix grouped by their bytes. HPC traces submit the same
+/// job text over and over and the encoder maps identical text to
+/// identical bytes, so most rows of a window or a request are repeats.
+/// Identical bytes give identical results under any deterministic
+/// kernel, so one computation per distinct row stands in for its group.
+/// NaN payloads group by their bytes too; -0.0 and 0.0 do not group.
+struct RowGroups {
+  std::vector<std::size_t> distinct;  ///< first row id of each group, ascending
+  std::vector<std::size_t> group;     ///< per row: index into `distinct`
+};
+
+RowGroups group_identical_rows(FeatureView x);
+
 /// Owning dense row-major float matrix.
 class FeatureMatrix {
  public:

@@ -42,7 +42,7 @@ void KnnClassifier::fit(FeatureView x, std::span<const Label> y) {
 }
 
 void KnnClassifier::rebuild_index() {
-  // The tree accelerates the p = 2 dot-product algebra only; general p
+  // The index serves the p = 2 dot-product algebra only; general p
   // keeps the Minkowski scan.
   index_.clear();
   if (config_.minkowski_p == 2.0) {
@@ -54,7 +54,7 @@ MCB_HOT_PATH void KnnClassifier::top_k(std::span<const float> query,
                                        std::vector<std::size_t>& idx,
                                        std::vector<double>& dist) const {
   if (config_.minkowski_p == 2.0) {
-    // Fitted (so the tree is built) and width-checked by every caller,
+    // Fitted (so the index is built) and width-checked by every caller,
     // so the search always serves. Were it to refuse, it empties `idx`
     // and vote() reads no row.
     [[maybe_unused]] const bool served = index_.search(query, config_.k, idx, dist);
@@ -100,10 +100,16 @@ MCB_HOT_PATH Label KnnClassifier::predict_one(std::span<const float> query) cons
 std::vector<Label> KnnClassifier::predict(FeatureView x, ThreadPool* pool) const {
   if (!is_fitted()) throw std::logic_error("knn: predict before fit");
   if (x.cols != dim_) throw std::invalid_argument("knn: query dimension mismatch");
-  std::vector<Label> out(x.rows, 0);
+  // Identical bytes give identical neighbours: search each distinct
+  // row once and copy its label to the row's duplicates.
+  const RowGroups groups = group_identical_rows(x);
+  std::vector<Label> distinct_labels(groups.distinct.size(), 0);
   parallel_for_each(
-      pool, 0, x.rows, [&](std::size_t i) { out[i] = predict_one(x.row(i)); },
+      pool, 0, groups.distinct.size(),
+      [&](std::size_t g) { distinct_labels[g] = predict_one(x.row(groups.distinct[g])); },
       /*grain=*/8);
+  std::vector<Label> out(x.rows);
+  for (std::size_t i = 0; i < x.rows; ++i) out[i] = distinct_labels[groups.group[i]];
   return out;
 }
 

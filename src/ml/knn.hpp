@@ -5,15 +5,17 @@
 // class id. Training only stores the data ("just building a model
 // instance", §V-C); all the work happens at inference.
 //
-// For p = 2 every neighbour search goes through the exact bounding-box
-// tree of ml/knn_index.hpp, which fit()/load() always build: it groups
-// duplicate rows, prunes subtrees by their bounding boxes, and sweeps
-// leaves with the tiled four-accumulator dot kernel of
-// ml/knn_kernels.hpp, so its neighbour set is the brute-force scan's
-// (DESIGN.md §11). General p has no index and uses the direct Minkowski
-// sum over every row. Queries are embarrassingly parallel across the
-// thread pool. The scalar and tiled reference scans the tree is checked
-// and benchmarked against live in tests/reference/.
+// For p = 2 every neighbour search goes through the exact index of
+// ml/knn_index.hpp, which fit()/load() always build: it groups
+// duplicate training rows and sweeps every unique point with the tiled
+// four-accumulator dot kernel of ml/knn_kernels.hpp, so its neighbour
+// set is the brute-force scan's (DESIGN.md §11). General p has no index
+// and uses the direct Minkowski sum over every row. predict() groups
+// the query rows the same way and searches each distinct row once:
+// identical bytes give identical neighbours, so the label is copied to
+// the row's duplicates. Distinct queries are embarrassingly parallel
+// across the thread pool. The scalar and tiled reference scans the
+// index is checked and benchmarked against live in tests/reference/.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,8 @@ class KnnClassifier final : public Classifier {
 
   void fit(FeatureView x, std::span<const Label> y) override;
 
-  /// Batched prediction: the spatial index for p = 2, the direct
-  /// Minkowski scan for any other p.
+  /// Batched prediction, one search per distinct query row: the index
+  /// for p = 2, the direct Minkowski scan for any other p.
   std::vector<Label> predict(FeatureView x, ThreadPool* pool = nullptr) const override;
 
   bool is_fitted() const noexcept override { return !labels_.empty(); }
@@ -47,7 +49,7 @@ class KnnClassifier final : public Classifier {
   std::size_t dim() const noexcept { return dim_; }
   const KnnConfig& config() const noexcept { return config_; }
 
-  /// The spatial index (ready() once fitted with p = 2).
+  /// The unique-point index (ready() once fitted with p = 2).
   const KnnIndex& index() const noexcept { return index_; }
 
   /// Indices of the k nearest training rows to `query` (ascending

@@ -1,39 +1,14 @@
 #include "ml/knn_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
-#include <unordered_map>
 
 #include "ml/knn_kernels.hpp"
 #include "ml/top_k.hpp"
 #include "util/annotations.hpp"
 
 namespace mcb {
-
-namespace {
-
-/// Conservative pruning slack. Leaf distances come from a float dot
-/// kernel whose rounding error is bounded by ~dim * eps_f relative to
-/// the candidate magnitudes, while the box bound is geometric (computed
-/// on the true coordinates). The slack keeps "skip this subtree" safe
-/// against that rounding gap: a subtree is only pruned when its best
-/// possible distance beats the current k-th best by more than any
-/// accumulated float error could explain, so the tree can never drop a
-/// row the scan would have kept. At 1e-4 relative the lost pruning
-/// power is unmeasurable.
-constexpr double kPruneSlackRel = 1e-4;
-
-bool all_finite(const float* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void KnnIndex::clear() {
   stats_ = {};
@@ -42,209 +17,43 @@ void KnnIndex::clear() {
   norms_.clear();
   group_offsets_.clear();
   group_rows_.clear();
-  nodes_.clear();
-  bounds_lo_.clear();
-  bounds_hi_.clear();
 }
 
-// ---------------------------------------------------------------- build
-
-void KnnIndex::build(FeatureView data, std::size_t leaf_size) {
+void KnnIndex::build(FeatureView data) {
   clear();
   if (data.empty()) return;
   if (data.rows > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("knn_index: more rows than 32-bit row ids can address");
   }
   dim_ = data.cols;
+  const RowGroups groups = group_identical_rows(data);
+  const std::size_t nu = groups.distinct.size();
 
-  // Group byte-identical rows: identical bytes produce identical dot
-  // products under any deterministic kernel, so one distance per unique
-  // point stands in for the whole group. NaN payloads group by bytes
-  // too, which is just as exact.
-  const std::size_t row_bytes = data.cols * sizeof(float);
-  std::unordered_map<std::string_view, std::uint32_t> seen;
-  seen.reserve(data.rows);
-  std::vector<std::uint32_t> row_uid(data.rows);
-  std::vector<float> unique_points;
-  for (std::size_t i = 0; i < data.rows; ++i) {
-    const char* bytes = reinterpret_cast<const char*>(data.data + i * data.cols);
-    const auto [it, inserted] =
-        seen.emplace(std::string_view(bytes, row_bytes),
-                     static_cast<std::uint32_t>(unique_points.size() / data.cols));
-    if (inserted) {
-      unique_points.insert(unique_points.end(), data.data + i * data.cols,
-                           data.data + (i + 1) * data.cols);
-    }
-    row_uid[i] = it->second;
-  }
-  const std::size_t nu = unique_points.size() / data.cols;
-
-  // Per-group original row ids, ascending (rows visited in order).
-  std::vector<std::uint32_t> group_count(nu, 0);
-  for (const std::uint32_t uid : row_uid) ++group_count[uid];
-  std::vector<std::uint32_t> group_begin(nu, 0);
-  std::uint32_t acc = 0;
-  for (std::size_t u = 0; u < nu; ++u) {
-    group_begin[u] = acc;
-    acc += group_count[u];
-  }
-  std::vector<std::uint32_t> group_rows(data.rows);
-  std::vector<std::uint32_t> cursor = group_begin;
-  for (std::size_t i = 0; i < data.rows; ++i) {
-    group_rows[cursor[row_uid[i]]++] = static_cast<std::uint32_t>(i);
-  }
-
-  // Non-finite coordinates poison box distances, so such a set stays
-  // one root leaf: every query then sweeps it whole.
-  if (!all_finite(data.data, data.rows * data.cols)) {
-    leaf_size = std::numeric_limits<std::size_t>::max();
-  }
-  leaf_size = std::max<std::size_t>(leaf_size, 1);
-
-  // Recursive median split over unique ids; nodes are appended preorder
-  // so children always follow their parent.
-  std::vector<std::uint32_t> order(nu);
-  for (std::size_t u = 0; u < nu; ++u) order[u] = static_cast<std::uint32_t>(u);
-  nodes_.reserve(2 * nu / leaf_size + 2);
-  struct Builder {
-    std::vector<Node>& nodes;
-    const std::vector<float>& pts;
-    std::size_t dim;
-    std::size_t leaf_size;
-    std::int32_t build(std::vector<std::uint32_t>& order, std::uint32_t begin,
-                       std::uint32_t end) {
-      const auto idx = static_cast<std::int32_t>(nodes.size());
-      nodes.push_back(Node{-1, -1, begin, end});
-      const std::size_t count = end - begin;
-      if (count <= leaf_size) return idx;
-      // Widest dimension of this subset's bounding box.
-      std::size_t split_dim = 0;
-      float best_extent = -1.0F;
-      for (std::size_t d = 0; d < dim; ++d) {
-        float lo = pts[static_cast<std::size_t>(order[begin]) * dim + d];
-        float hi = lo;
-        for (std::uint32_t p = begin + 1; p < end; ++p) {
-          const float v = pts[static_cast<std::size_t>(order[p]) * dim + d];
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
-        }
-        const float extent = hi - lo;
-        if (extent > best_extent) {
-          best_extent = extent;
-          split_dim = d;
-        }
-      }
-      // Zero extent means every remaining unique point is value-equal
-      // (e.g. -0.0 vs 0.0 byte-distinct rows): splitting cannot make
-      // progress, so the node stays a leaf.
-      if (!(best_extent > 0.0F)) return idx;
-      const std::uint32_t mid = begin + static_cast<std::uint32_t>(count / 2);
-      std::nth_element(order.begin() + begin, order.begin() + mid, order.begin() + end,
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return pts[static_cast<std::size_t>(a) * dim + split_dim] <
-                                pts[static_cast<std::size_t>(b) * dim + split_dim];
-                       });
-      const std::int32_t left = build(order, begin, mid);
-      const std::int32_t right = build(order, mid, end);
-      nodes[static_cast<std::size_t>(idx)].left = left;
-      nodes[static_cast<std::size_t>(idx)].right = right;
-      return idx;
-    }
-  };
-  Builder builder{nodes_, unique_points, dim_, leaf_size};
-  builder.build(order, 0, static_cast<std::uint32_t>(nu));
-
-  // Gather points and groups into leaf order.
   points_.resize(nu * dim_);
-  group_offsets_.assign(nu + 1, 0);
-  group_rows_.resize(group_rows.size());
-  std::uint32_t out = 0;
-  for (std::size_t pos = 0; pos < nu; ++pos) {
-    const std::uint32_t uid = order[pos];
-    std::copy_n(unique_points.data() + static_cast<std::size_t>(uid) * dim_, dim_,
-                points_.data() + pos * dim_);
-    group_offsets_[pos] = out;
-    std::copy_n(group_rows.data() + group_begin[uid], group_count[uid],
-                group_rows_.data() + out);
-    out += group_count[uid];
-  }
-  group_offsets_[nu] = out;
-
-  // Norms and node bounds over the final point order.
   norms_.resize(nu);
   for (std::size_t u = 0; u < nu; ++u) {
-    norms_[u] = row_norm_sq(points_.data() + u * dim_, dim_);
+    const float* row = data.data + groups.distinct[u] * dim_;
+    std::copy_n(row, dim_, points_.data() + u * dim_);
+    norms_[u] = row_norm_sq(row, dim_);
   }
-  bounds_lo_.assign(nodes_.size() * dim_, std::numeric_limits<float>::infinity());
-  bounds_hi_.assign(nodes_.size() * dim_, -std::numeric_limits<float>::infinity());
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    float* lo = bounds_lo_.data() + n * dim_;
-    float* hi = bounds_hi_.data() + n * dim_;
-    for (std::uint32_t p = nodes_[n].begin; p < nodes_[n].end; ++p) {
-      const float* point = points_.data() + static_cast<std::size_t>(p) * dim_;
-      for (std::size_t d = 0; d < dim_; ++d) {
-        lo[d] = std::min(lo[d], point[d]);
-        hi[d] = std::max(hi[d], point[d]);
-      }
-    }
+
+  // Per-group original row ids, ascending (rows visited in order).
+  group_offsets_.assign(nu + 1, 0);
+  for (const std::size_t g : groups.group) ++group_offsets_[g + 1];
+  for (std::size_t u = 0; u < nu; ++u) group_offsets_[u + 1] += group_offsets_[u];
+  group_rows_.resize(data.rows);
+  std::vector<std::uint32_t> cursor(group_offsets_.begin(), group_offsets_.end() - 1);
+  for (std::size_t i = 0; i < data.rows; ++i) {
+    group_rows_[cursor[groups.group[i]]++] = static_cast<std::uint32_t>(i);
   }
 
   stats_.rows = data.rows;
   stats_.unique_rows = nu;
-  stats_.nodes = nodes_.size();
-  for (const Node& node : nodes_) {
-    if (node.left < 0) ++stats_.leaves;
-  }
 }
 
-// --------------------------------------------------------------- search
-
-MCB_HOT_PATH double KnnIndex::node_min_dist_sq(std::size_t node, const float* q) const {
-  const float* lo = bounds_lo_.data() + node * dim_;
-  const float* hi = bounds_hi_.data() + node * dim_;
-  double sum = 0.0;
-  for (std::size_t d = 0; d < dim_; ++d) {
-    double diff = 0.0;
-    if (q[d] < lo[d]) {
-      diff = static_cast<double>(lo[d]) - q[d];
-    } else if (q[d] > hi[d]) {
-      diff = static_cast<double>(q[d]) - hi[d];
-    }
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-MCB_HOT_PATH void KnnIndex::scan_segment(std::uint32_t begin, std::uint32_t end,
-                                         const float* q, std::size_t k, TopK& top) const {
-  float dots[kScanTile];
-  for (std::uint32_t base = begin; base < end; base += kScanTile) {
-    const std::size_t count = std::min<std::size_t>(kScanTile, end - base);
-    tile_dots(points_.data() + static_cast<std::size_t>(base) * dim_, count, dim_, q, dots);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t u = base + i;
-      // Monotone in the true distance; the query norm is constant
-      // across rows.
-      const double d = static_cast<double>(norms_[u]) - 2.0 * static_cast<double>(dots[i]);
-      const std::uint32_t off = group_offsets_[u];
-      const std::uint32_t take =
-          std::min<std::uint32_t>(static_cast<std::uint32_t>(k), group_offsets_[u + 1] - off);
-      // Duplicates tie on distance, so only the group's first k
-      // (lowest) row ids can survive the shared tie-break.
-      for (std::uint32_t j = 0; j < take; ++j) {
-        top.consider(group_rows_[off + j], d);
-      }
-    }
-  }
-}
-
-// Traversal scratch lives in thread_local vectors (same idiom as
-// KnnClassifier::predict_one): after the first few queries on a thread
-// the capacity is warm and the fast path performs no allocation.
-MCB_HOT_PATH
-// mcb-lint: suppress(R10: warm thread_local scratch — growth amortizes to zero across queries)
-bool KnnIndex::search(std::span<const float> query, std::size_t k,
-                      std::vector<std::size_t>& idx, std::vector<double>& dist) const {
+MCB_HOT_PATH bool KnnIndex::search(std::span<const float> query, std::size_t k,
+                                   std::vector<std::size_t>& idx,
+                                   std::vector<double>& dist) const {
   if (!ready() || query.size() != dim_ || k == 0) {
     // Never leave a previous query's row ids behind for the caller.
     idx.clear();
@@ -254,46 +63,23 @@ bool KnnIndex::search(std::span<const float> query, std::size_t k,
 
   const std::size_t k_eff = std::min(k, stats_.rows);
   TopK top(idx, dist, k_eff);
-  const float* q = query.data();
-  if (!all_finite(query.data(), query.size())) {
-    // Box distances are meaningless for this query: sweep every unique
-    // point, which is the brute-force scan under the same kernel.
-    scan_segment(0, static_cast<std::uint32_t>(stats_.unique_rows), q, k_eff, top);
-    return true;
-  }
-
-  double query_norm = 0.0;
-  for (const float v : query) query_norm += static_cast<double>(v) * v;
-  // Depth-first, nearer child first; prune when a subtree's best
-  // possible distance (shifted into the scan's query-norm-free key
-  // space) cannot beat the current k-th best even after allowing for
-  // kernel rounding slack.
-  const auto prunable = [&](double bound_sq) {
-    const double tau = top.worst();
-    const double slack = kPruneSlackRel * (1.0 + std::abs(query_norm) + std::abs(tau));
-    return bound_sq - query_norm > tau + slack;
-  };
-  thread_local std::vector<std::pair<std::int32_t, double>> stack;
-  stack.clear();
-  stack.reserve(64);
-  stack.emplace_back(0, node_min_dist_sq(0, q));
-  while (!stack.empty()) {
-    const auto [node_idx, bound] = stack.back();
-    stack.pop_back();
-    if (prunable(bound)) continue;
-    const Node& node = nodes_[static_cast<std::size_t>(node_idx)];
-    if (node.left < 0) {
-      scan_segment(node.begin, node.end, q, k_eff, top);
-      continue;
-    }
-    const double left_bound = node_min_dist_sq(static_cast<std::size_t>(node.left), q);
-    const double right_bound = node_min_dist_sq(static_cast<std::size_t>(node.right), q);
-    if (left_bound <= right_bound) {
-      stack.emplace_back(node.right, right_bound);
-      stack.emplace_back(node.left, left_bound);
-    } else {
-      stack.emplace_back(node.left, left_bound);
-      stack.emplace_back(node.right, right_bound);
+  float dots[kScanTile];
+  for (std::size_t base = 0; base < stats_.unique_rows; base += kScanTile) {
+    const std::size_t count = std::min(kScanTile, stats_.unique_rows - base);
+    tile_dots(points_.data() + base * dim_, count, dim_, query.data(), dots);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t u = base + i;
+      // Monotone in the true distance; the query norm is constant
+      // across rows.
+      const double d = static_cast<double>(norms_[u]) - 2.0 * static_cast<double>(dots[i]);
+      const std::uint32_t off = group_offsets_[u];
+      const std::uint32_t take =
+          std::min<std::uint32_t>(static_cast<std::uint32_t>(k_eff), group_offsets_[u + 1] - off);
+      // Duplicates tie on distance, so only the group's first k
+      // (lowest) row ids can survive the shared tie-break.
+      for (std::uint32_t j = 0; j < take; ++j) {
+        top.consider(group_rows_[off + j], d);
+      }
     }
   }
   return true;

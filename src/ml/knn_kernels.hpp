@@ -1,11 +1,11 @@
-// Shared distance kernels for the spatial index and the reference scans.
+// Shared distance kernels for the unique-point index and the reference
+// scans.
 //
 // tile_dots is the deterministic 4-accumulator dot kernel (DESIGN.md §8
-// has the vectorization rationale). It lives here so the bounding-box
-// tree's leaf sweep and the tiled reference scan in tests/reference/
-// compute *bitwise identical* distances for the same row bytes — the
-// precondition for the shared TopK tie-break to make their results
-// interchangeable.
+// has the vectorization rationale). It lives here so the index's sweep
+// and the tiled reference scan in tests/reference/ compute *bitwise
+// identical* distances for the same row bytes — the precondition for
+// the shared TopK tie-break to make their results interchangeable.
 #pragma once
 
 #include <cstddef>

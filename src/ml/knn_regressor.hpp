@@ -8,9 +8,9 @@
 // neighbors' target values.
 //
 // The neighbor search is the classifier's p = 2 search outright: the
-// exact spatial index of ml/knn_index.hpp with its TopK tie-break (lower
-// row id wins on equal distance), so classifier and regressor pick
-// identical neighbor sets for identical data by construction.
+// exact unique-point scan of ml/knn_index.hpp with its TopK tie-break
+// (lower row id wins on equal distance), so classifier and regressor
+// pick identical neighbor sets for identical data by construction.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@ class KnnRegressor {
   std::size_t dim() const noexcept { return dim_; }
   const KnnRegressorConfig& config() const noexcept { return config_; }
 
-  /// The spatial index every prediction searches (ready() once fitted).
+  /// The unique-point index every prediction searches (ready() once fitted).
   const KnnIndex& index() const noexcept { return index_; }
 
   /// Throws std::invalid_argument unless the query has dim() features.

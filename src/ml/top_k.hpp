@@ -1,16 +1,17 @@
-// Shared top-k selection buffer for every KNN search (the spatial index,
-// the general-p Minkowski scan, and the reference scans in
+// Shared top-k selection buffer for every KNN search (the unique-point
+// index, the general-p Minkowski scan, and the reference scans in
 // tests/reference/).
 //
 // A size-k sorted insertion buffer: k is tiny (default 5) so the shift
 // is cheaper than heap bookkeeping. Candidates are ordered by the pair
 // (distance, row id) — on equal distance the *lower original row id*
 // wins. For a sequential 0..n-1 scan that is exactly the historical
-// "first-seen row wins" behaviour, and because the ordering no longer
-// depends on visit order, any traversal (such as a tree descent) that
-// considers the same candidate set produces bit-identical results.
-// This order-independence is the contract that lets knn_index prune
-// without changing predictions (DESIGN.md §11).
+// "first-seen row wins" behaviour, and because the ordering does not
+// depend on visit order, any sweep that considers the same candidate
+// set produces bit-identical results. This order-independence is the
+// contract that lets knn_index visit unique points and offer each
+// duplicate group's lowest row ids without changing predictions
+// (DESIGN.md §11).
 //
 // NaN distances are never admitted (every comparison against NaN is
 // false), so a poisoned candidate cannot make the outcome depend on the
@@ -57,9 +58,6 @@ class TopK {
     dist_[pos] = d;
     idx_[pos] = row;
   }
-
-  /// Worst admitted distance — the pruning bound for index traversals.
-  double worst() const noexcept { return dist_.back(); }
 
  private:
   std::vector<std::size_t>& idx_;

@@ -203,7 +203,7 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     // on batchy HPC traces.
     obs::MetricFamily index_rows;
     index_rows.name = "mcb_knn_index_rows";
-    index_rows.help = "Rows held by the KNN spatial index (0 = no KNN index built).";
+    index_rows.help = "Rows held by the KNN index (0 = no KNN index built).";
     index_rows.type = obs::MetricType::kGauge;
     index_rows.points.push_back(obs::scalar_point(
         {{"kind", "total"}}, static_cast<double>(index_stats.rows)));
@@ -443,14 +443,12 @@ HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
   if (snap != nullptr && snap->version.has_value()) {
     body.set("version", static_cast<std::int64_t>(*snap->version));
   }
-  // The exact KNN spatial index (DESIGN.md §11), present once a p = 2
-  // KNN model is trained.
+  // The exact KNN index over unique training rows (DESIGN.md §11),
+  // present once a p = 2 KNN model is trained.
   if (const KnnIndexStats* stats = snap != nullptr ? snap->model.knn_index_stats() : nullptr) {
     Json index_json = Json::object();
     index_json.set("rows", static_cast<std::int64_t>(stats->rows));
     index_json.set("unique_rows", static_cast<std::int64_t>(stats->unique_rows));
-    index_json.set("nodes", static_cast<std::int64_t>(stats->nodes));
-    index_json.set("leaves", static_cast<std::int64_t>(stats->leaves));
     body.set("knn_index", index_json);
   }
   return HttpResponse::json(200, body.dump());

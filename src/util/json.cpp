@@ -15,7 +15,8 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
-  std::size_t depth = 0;  ///< containers currently open
+  std::size_t depth = 0;     ///< containers currently open
+  std::size_t elements = 0;  ///< values started so far
 
   bool at_end() const { return pos >= text.size(); }
   char peek() const { return text[pos]; }
@@ -39,6 +40,11 @@ struct Parser {
   bool parse_value(Json& out) {
     skip_ws();
     if (at_end()) return fail("unexpected end of input");
+    // Bounds the memory one text can make the parser allocate, well
+    // below what the body-size cap alone would allow.
+    if (++elements > kJsonMaxElements) {
+      return fail("more than " + std::to_string(kJsonMaxElements) + " values");
+    }
     switch (peek()) {
       case '{':
       case '[': {
@@ -367,7 +373,7 @@ std::string Json::pretty() const {
 }
 
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
-  Parser parser{text, 0, {}, 0};
+  Parser parser{text, 0, {}, 0, 0};
   Json out;
   if (!parser.parse_value(out)) {
     if (error != nullptr) *error = parser.error;

@@ -21,6 +21,13 @@ namespace mcb {
 /// recursive descent, so the limit bounds its stack use on hostile input.
 inline constexpr std::size_t kJsonMaxDepth = 512;
 
+/// Most values (scalars and containers, a duplicate key's dropped value
+/// included) Json::parse builds from one text. The largest request the
+/// API accepts, a 4096-job /classify_batch of 19-field jobs, holds about
+/// 82,000; without this bound a 16 MiB body of `{},` items builds 5.6
+/// million values before any handler can refuse it.
+inline constexpr std::size_t kJsonMaxElements = std::size_t{1} << 19;
+
 class Json;
 using JsonArray = std::vector<Json>;
 using JsonObject = std::map<std::string, Json, std::less<>>;
@@ -76,7 +83,8 @@ class Json {
   std::string pretty() const;
 
   /// Parse; returns std::nullopt and fills `error` (if given) on failure,
-  /// including nesting deeper than kJsonMaxDepth.
+  /// including nesting deeper than kJsonMaxDepth and texts of more than
+  /// kJsonMaxElements values.
   static std::optional<Json> parse(std::string_view text, std::string* error = nullptr);
 
   friend bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }

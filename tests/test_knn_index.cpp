@@ -1,15 +1,18 @@
-// Equivalence tests for the KNN spatial index (DESIGN.md §11), the only
-// p = 2 neighbour search of KnnClassifier and KnnRegressor: the
-// bounding-box tree must return results *identical* to the reference
-// scans in tests/reference/ — same neighbor ids, same predictions — on
+// Equivalence tests for the KNN index (DESIGN.md §11), the only p = 2
+// neighbour search of KnnClassifier and KnnRegressor: the unique-point
+// scan must return results *identical* to the reference scans in
+// tests/reference/ — same neighbor ids, same predictions — on
 // randomized inputs and on the shapes that stress its invariants
 // (duplicate rows and equal distances, k larger than the training set,
-// narrow dims, tile boundaries, zero-extent splits), and on the inputs
-// it serves as degenerate trees: training sets of one leaf, non-finite
-// training rows and non-finite queries. Plus the query-width contract.
+// narrow dims, tile boundaries, value-equal but byte-distinct rows,
+// small training sets, non-finite training rows and queries). The
+// query sets hold repeated rows, so KnnClassifier::predict's grouping
+// of distinct query rows is checked on the same inputs. Plus the
+// query-width contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 
@@ -83,14 +86,11 @@ void expect_knn_matches_scalar(const KnnClassifier& knn, const RandomData& train
   }
 }
 
-/// The same contract on a KnnIndex built directly with a small leaf
-/// size, so small inputs still get deep trees.
-void expect_index_matches_scalar(FeatureView train, FeatureView queries, std::size_t k,
-                                 std::size_t leaf_size, std::size_t min_leaves) {
+/// The same contract on a KnnIndex built directly.
+void expect_index_matches_scalar(FeatureView train, FeatureView queries, std::size_t k) {
   KnnIndex index;
-  index.build(train, leaf_size);
+  index.build(train);
   ASSERT_TRUE(index.ready());
-  EXPECT_GE(index.stats().leaves, min_leaves);
   std::vector<std::size_t> idx;
   std::vector<double> dist;
   for (std::size_t i = 0; i < queries.rows; ++i) {
@@ -99,21 +99,29 @@ void expect_index_matches_scalar(FeatureView train, FeatureView queries, std::si
   }
 }
 
+/// `base` with rows appended: each listed row of `base` copied again,
+/// in order, so predict() sees repeats of earlier rows.
+FeatureMatrix with_repeats(const FeatureMatrix& base, std::initializer_list<std::size_t> rows) {
+  std::vector<std::size_t> order(base.rows());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  order.insert(order.end(), rows);
+  return base.gather(order);
+}
+
 // ---------------------------------------------------------------------------
-// Bounding-box tree vs scalar scan
+// Unique-point scan vs scalar scan
 // ---------------------------------------------------------------------------
 
-TEST(KnnIndexTree, MatchesScalarOnRandomizedInputs) {
+TEST(KnnIndexScan, MatchesScalarOnRandomizedInputs) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
     const auto train = make_random_data(500, 8, seed);
     const auto queries = make_random_data(100, 8, seed + 1000);
     const KnnClassifier knn = fitted_knn(train, 5);
-    EXPECT_GE(knn.index().stats().leaves, 8U);
     expect_knn_matches_scalar(knn, train, queries.x.view());
   }
 }
 
-TEST(KnnIndexTree, MatchesScalarOnDuplicateHeavyData) {
+TEST(KnnIndexScan, MatchesScalarOnDuplicateHeavyData) {
   // 1500 rows collapsing onto 60 unique points: every neighbor set is
   // decided by the (distance, row id) tie-break, and queries drawn from
   // the same pool hit exact distance-0 matches.
@@ -122,11 +130,10 @@ TEST(KnnIndexTree, MatchesScalarOnDuplicateHeavyData) {
   const KnnClassifier knn = fitted_knn(train, 5);
   EXPECT_LT(knn.index().stats().unique_rows, 100U);
   expect_knn_matches_scalar(knn, train, queries.x.view());
-  expect_index_matches_scalar(train.x.view(), queries.x.view(), 5, /*leaf_size=*/8,
-                              /*min_leaves=*/4);
+  expect_index_matches_scalar(train.x.view(), queries.x.view(), 5);
 }
 
-TEST(KnnIndexTree, DuplicateGroupExpandsToLowestRowIds) {
+TEST(KnnIndexScan, DuplicateGroupExpandsToLowestRowIds) {
   // Four copies of the same point scattered through the training set:
   // k = 3 must return the three *lowest* original row ids, exactly as a
   // sequential first-seen-wins scan would.
@@ -138,38 +145,42 @@ TEST(KnnIndexTree, DuplicateGroupExpandsToLowestRowIds) {
   const std::vector<std::size_t> expected{1, 3, 4};
   EXPECT_EQ(knn.kneighbors(query), expected);
   EXPECT_EQ(reference::knn_kneighbors_scalar(train.x.view(), query, 3), expected);
-  FeatureMatrix queries(1, 2);
+  // Plus repeats of the rows {5, 5} and {9, 9}, whose training groups
+  // (one row each) are smaller than k.
+  FeatureMatrix queries(3, 2);
   std::copy_n(query.data(), 2, queries.row(0));
-  expect_index_matches_scalar(train.x.view(), queries.view(), 3, /*leaf_size=*/1,
-                              /*min_leaves=*/3);
+  std::copy_n(rows[0], 2, queries.row(1));
+  std::copy_n(rows[2], 2, queries.row(2));
+  const FeatureMatrix repeated = with_repeats(queries, {1, 2, 1, 0});
+  expect_index_matches_scalar(train.x.view(), repeated.view(), 3);
+  expect_knn_matches_scalar(knn, train, repeated.view());
 }
 
-TEST(KnnIndexTree, NarrowDimsAndTileBoundaries) {
+TEST(KnnIndexScan, NarrowDimsAndTileBoundaries) {
   for (const std::size_t dims : {1U, 2U, 3U, 4U, 5U}) {
     for (const std::size_t rows : {127U, 128U, 129U, 256U}) {
       const auto train = make_random_data(rows, dims, dims * 1000 + rows);
       const auto queries = make_random_data(20, dims, dims * 2000 + rows);
       expect_knn_matches_scalar(fitted_knn(train, 5), train, queries.x.view());
-      expect_index_matches_scalar(train.x.view(), queries.x.view(), 5, /*leaf_size=*/8,
-                                  /*min_leaves=*/8);
+      expect_index_matches_scalar(train.x.view(), queries.x.view(), 5);
     }
   }
 }
 
-TEST(KnnIndexTree, KLargerThanTrainingSet) {
+TEST(KnnIndexScan, KLargerThanTrainingSet) {
   const auto train = make_random_data(10, 3, 5);
   const auto queries = make_random_data(8, 3, 6);
   const KnnClassifier knn = fitted_knn(train, 50);
   expect_knn_matches_scalar(knn, train, queries.x.view());
   EXPECT_EQ(knn.kneighbors(queries.x.row(0)).size(), 10U);
-  expect_index_matches_scalar(train.x.view(), queries.x.view(), 50, /*leaf_size=*/2,
-                              /*min_leaves=*/4);
+  expect_index_matches_scalar(train.x.view(), queries.x.view(), 50);
 }
 
-TEST(KnnIndexTree, ZeroExtentSplitForcesLeaf) {
+TEST(KnnIndexScan, SignedZeroRowsGroupApart) {
   // All rows value-equal but byte-distinct in one dimension (-0.0 vs
-  // 0.0): the widest split extent is zero, which must terminate the
-  // build (forced leaf) rather than recurse forever.
+  // 0.0): they form two groups, every distance ties, and the lowest row
+  // ids across both groups must win. The queries are the same kind of
+  // pair, each repeated, so predict() groups them apart as well.
   RandomData train{FeatureMatrix(64, 2), std::vector<Label>(64)};
   for (std::size_t i = 0; i < 64; ++i) {
     train.x.row(i)[0] = (i % 2 == 0) ? 0.0F : -0.0F;
@@ -177,68 +188,69 @@ TEST(KnnIndexTree, ZeroExtentSplitForcesLeaf) {
     train.y[i] = static_cast<Label>(i % 2);
   }
   KnnIndex index;
-  index.build(train.x.view(), /*leaf_size=*/1);
+  index.build(train.x.view());
   EXPECT_EQ(index.stats().unique_rows, 2U);
-  EXPECT_EQ(index.stats().nodes, 1U) << "a zero-extent split must stay one leaf";
-  FeatureMatrix queries(1, 2);
+  FeatureMatrix queries(2, 2);
   queries.row(0)[1] = 0.9F;
-  expect_index_matches_scalar(train.x.view(), queries.view(), 5, /*leaf_size=*/1,
-                              /*min_leaves=*/1);
-  expect_knn_matches_scalar(fitted_knn(train, 5), train, queries.view());
+  queries.row(1)[0] = -0.0F;
+  queries.row(1)[1] = 0.9F;
+  const FeatureMatrix repeated = with_repeats(queries, {1, 0, 1});
+  expect_index_matches_scalar(train.x.view(), repeated.view(), 5);
+  expect_knn_matches_scalar(fitted_knn(train, 5), train, repeated.view());
 }
 
-TEST(KnnIndexTree, NonFiniteQueriesMatchScalar) {
-  // NaN and ±inf queries fall outside the pruning algebra; the index
-  // sweeps every unique point, and neighbors must still match the scan
-  // (NaN distances are never admitted; -inf ones tie toward low ids).
+TEST(KnnIndexScan, NonFiniteQueriesMatchScalar) {
+  // NaN and ±inf queries: neighbors must still match the scan (NaN
+  // distances are never admitted; -inf ones tie toward low ids). The
+  // NaN rows repeat, and group by their bytes like any other row.
   const auto train = make_random_data(300, 4, 17);
   const KnnClassifier knn = fitted_knn(train, 5);
-  ASSERT_GE(knn.index().stats().leaves, 4U);
-  FeatureMatrix queries(4, 4);
-  queries.row(0)[1] = std::numeric_limits<float>::quiet_NaN();
-  queries.row(1)[2] = std::numeric_limits<float>::infinity();
-  queries.row(2)[0] = -std::numeric_limits<float>::infinity();
-  for (std::size_t d = 0; d < 4; ++d) queries.row(3)[d] = std::numeric_limits<float>::quiet_NaN();
+  FeatureMatrix base(4, 4);
+  base.row(0)[1] = std::numeric_limits<float>::quiet_NaN();
+  base.row(1)[2] = std::numeric_limits<float>::infinity();
+  base.row(2)[0] = -std::numeric_limits<float>::infinity();
+  for (std::size_t d = 0; d < 4; ++d) base.row(3)[d] = std::numeric_limits<float>::quiet_NaN();
+  const FeatureMatrix queries = with_repeats(base, {3, 0, 3, 1, 0});
   expect_knn_matches_scalar(knn, train, queries.view());
   for (const std::size_t row : knn.kneighbors(queries.view().row(3))) {
     EXPECT_EQ(row, kTopKNoRow) << "an all-NaN query admits no neighbor";
   }
 }
 
-TEST(KnnIndexTree, NanTrainingRowsMatchScalar) {
+TEST(KnnIndexScan, NanTrainingRowsMatchScalar) {
   auto train = make_random_data(300, 4, 19);
   train.x.row(7)[2] = std::numeric_limits<float>::quiet_NaN();
   train.x.row(150)[0] = std::numeric_limits<float>::quiet_NaN();
   const KnnClassifier knn = fitted_knn(train, 5);
-  EXPECT_EQ(knn.index().stats().leaves, 1U) << "non-finite training data is one root leaf";
   const auto queries = make_random_data(20, 4, 20);
   expect_knn_matches_scalar(knn, train, queries.x.view());
 }
 
-TEST(KnnIndexTree, SmallTrainingSetsMatchScalar) {
-  // At most leaf_size unique rows is a single leaf: the tree search is
-  // then one sweep of the whole set.
+TEST(KnnIndexScan, SmallTrainingSetsMatchScalar) {
+  // Fewer rows than k (1) and than one tile (5, 63).
   for (const std::size_t rows : {1U, 5U, 63U}) {
     const auto train = make_random_data(rows, 4, 21 + rows);
     const KnnClassifier knn = fitted_knn(train, 5);
-    EXPECT_EQ(knn.index().stats().leaves, 1U) << "rows=" << rows;
     const auto queries = make_random_data(20, 4, 22 + rows);
     expect_knn_matches_scalar(knn, train, queries.x.view());
   }
 }
 
-TEST(KnnIndexTree, ParallelPredictionMatchesSerial) {
-  // Enough unique points for a multi-leaf tree, so the parallel run
-  // goes through pruned traversal rather than one leaf sweep.
+TEST(KnnIndexScan, ParallelPredictionMatchesSerial) {
+  // Every fifth query repeated, so the pool also runs over a distinct
+  // set smaller than the batch and both copies must get the label.
   const auto train = make_duplicate_data(4000, 5, 700, 33);
-  const auto queries = make_random_data(64, 5, 34);
+  const auto random = make_random_data(64, 5, 34);
+  const FeatureMatrix queries =
+      with_repeats(random.x, {0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 0, 5});
   const KnnClassifier knn = fitted_knn(train, 5);
-  EXPECT_GE(knn.index().stats().leaves, 8U);
   ThreadPool pool(4);
-  EXPECT_EQ(knn.predict(queries.x.view(), &pool), knn.predict(queries.x.view(), nullptr));
+  const std::vector<Label> parallel = knn.predict(queries.view(), &pool);
+  EXPECT_EQ(parallel, knn.predict(queries.view(), nullptr));
+  EXPECT_EQ(parallel, reference::knn_predict_scalar(train.x.view(), train.y, queries.view(), 5));
 }
 
-TEST(KnnIndexTree, SearchContractOnUnreadyOrBadInput) {
+TEST(KnnIndexScan, SearchContractOnUnreadyOrBadInput) {
   KnnIndex index;
   std::vector<std::size_t> idx;
   std::vector<double> dist;
@@ -299,7 +311,6 @@ TEST(KnnIndexRegressor, IndexedPredictionsMatchScanBitwise) {
     KnnRegressor regressor(config);
     regressor.fit(train.x.view(), targets);
     ASSERT_TRUE(regressor.index().ready());
-    EXPECT_GE(regressor.index().stats().leaves, 8U);
 
     const auto queries = make_duplicate_data(60, 5, 700, 79);
     EXPECT_EQ(regressor.predict(queries.x.view()),

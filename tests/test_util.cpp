@@ -467,6 +467,30 @@ TEST(Json, NestingDepthIsLimited) {
   EXPECT_NE(error.find(limit), std::string::npos) << error;
 }
 
+TEST(Json, ElementCountIsLimited) {
+  // An array of n numbers is n + 1 values.
+  const auto zeros = [](std::size_t n) {
+    std::string text = "[";
+    for (std::size_t i = 0; i < n; ++i) text += i == 0 ? "0" : ",0";
+    return text + "]";
+  };
+  const auto at_limit = Json::parse(zeros(kJsonMaxElements - 1));
+  ASSERT_TRUE(at_limit.has_value());
+  EXPECT_EQ(at_limit->size(), kJsonMaxElements - 1);
+
+  // One value more is an error that names the limit; a duplicate key's
+  // dropped value counts too.
+  const std::string limit = std::to_string(kJsonMaxElements);
+  std::string error;
+  EXPECT_FALSE(Json::parse(zeros(kJsonMaxElements), &error).has_value());
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+  error.clear();
+  const std::string inner = zeros(kJsonMaxElements - 2);
+  EXPECT_TRUE(Json::parse("{\"a\":" + inner + "}").has_value());
+  EXPECT_FALSE(Json::parse("{\"a\":0,\"a\":" + inner + "}", &error).has_value());
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+}
+
 TEST(Json, IntegersSerializeWithoutDecimals) {
   Json j(static_cast<std::int64_t>(1'706'745'600));
   EXPECT_EQ(j.dump(), "1706745600");
