@@ -37,7 +37,6 @@ Json FrameworkConfig::to_json() const {
   Json model_json = Json::object();
   model_json.set("kind", model_kind_name(model));
   model_json.set("knn_k", static_cast<std::int64_t>(knn.k));
-  model_json.set("knn_minkowski_p", knn.minkowski_p);
   model_json.set("rf_trees", static_cast<std::int64_t>(forest.n_trees));
   model_json.set("rf_max_bins", static_cast<std::int64_t>(forest.max_bins));
   model_json.set("rf_max_depth", static_cast<std::int64_t>(forest.tree.max_depth));
@@ -131,7 +130,11 @@ std::optional<FrameworkConfig> FrameworkConfig::from_json(const Json& json,
     }
     config.knn.k = static_cast<std::size_t>(
         m["knn_k"].as_int(static_cast<std::int64_t>(config.knn.k)));
-    config.knn.minkowski_p = m["knn_minkowski_p"].as_double(config.knn.minkowski_p);
+    // Configs saved by builds that offered general Minkowski p carry
+    // this key; the KNN serves p = 2 only.
+    if (m.contains("knn_minkowski_p") && m["knn_minkowski_p"].as_double(0.0) != 2.0) {
+      return fail("model.knn_minkowski_p must be 2 (the only KNN metric)");
+    }
     config.forest.n_trees = static_cast<std::size_t>(
         m["rf_trees"].as_int(static_cast<std::int64_t>(config.forest.n_trees)));
     config.forest.max_bins = static_cast<std::size_t>(

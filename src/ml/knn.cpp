@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "ml/serialize.hpp"
@@ -21,6 +20,10 @@ namespace {
 constexpr std::uint64_t kMaxClasses = 1ULL << 20;
 constexpr std::uint64_t kMaxDim = 1ULL << 24;
 
+/// The file header's metric field: earlier builds stored a general
+/// Minkowski p there; only the Euclidean p = 2 is written or accepted.
+constexpr double kMetricP = 2.0;
+
 }  // namespace
 
 KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
@@ -30,48 +33,29 @@ KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
 void KnnClassifier::fit(FeatureView x, std::span<const Label> y) {
   if (x.rows != y.size()) throw std::invalid_argument("knn: rows/labels mismatch");
   if (x.empty()) throw std::invalid_argument("knn: empty training set");
-  dim_ = x.cols;
-  train_data_.assign(x.data, x.data + x.rows * x.cols);
-  labels_.assign(y.begin(), y.end());
-  n_classes_ = 0;
-  for (const Label l : labels_) {
+  std::size_t n_classes = 0;
+  for (const Label l : y) {
     if (l < 0) throw std::invalid_argument("knn: negative label");
-    n_classes_ = std::max(n_classes_, static_cast<std::size_t>(l) + 1);
+    n_classes = std::max(n_classes, static_cast<std::size_t>(l) + 1);
   }
-  rebuild_index();
-}
-
-void KnnClassifier::rebuild_index() {
-  // The index serves the p = 2 dot-product algebra only; general p
-  // keeps the Minkowski scan.
-  index_.clear();
-  if (config_.minkowski_p == 2.0) {
-    index_.build(FeatureView{train_data_.data(), labels_.size(), dim_});
-  }
+  // Build and copy before committing anything, then commit with moves
+  // that cannot throw, so a throw leaves the model as it was.
+  KnnIndex index;
+  index.build(x);
+  std::vector<Label> labels(y.begin(), y.end());
+  index_ = std::move(index);
+  labels_ = std::move(labels);
+  n_classes_ = n_classes;
 }
 
 MCB_HOT_PATH void KnnClassifier::top_k(std::span<const float> query,
                                        std::vector<std::size_t>& idx,
                                        std::vector<double>& dist) const {
-  if (config_.minkowski_p == 2.0) {
-    // Fitted (so the index is built) and width-checked by every caller,
-    // so the search always serves. Were it to refuse, it empties `idx`
-    // and vote() reads no row.
-    [[maybe_unused]] const bool served = index_.search(query, config_.k, idx, dist);
-    assert(served && "knn: index refused a fitted, width-checked query");
-    return;
-  }
-  const std::size_t n = labels_.size();
-  TopK top(idx, dist, std::min(config_.k, n));
-  const double p = config_.minkowski_p;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = train_data_.data() + i * dim_;
-    double sum = 0.0;
-    for (std::size_t j = 0; j < dim_; ++j) {
-      sum += std::pow(std::abs(static_cast<double>(row[j]) - query[j]), p);
-    }
-    top.consider(i, sum);  // comparing sums ~ comparing p-th roots
-  }
+  // Fitted (so the index is built) and width-checked by every caller,
+  // so the search always serves. Were it to refuse, it empties `idx`
+  // and vote() reads no row.
+  [[maybe_unused]] const bool served = index_.search(query, config_.k, idx, dist);
+  assert(served && "knn: index refused a fitted, width-checked query");
 }
 
 Label KnnClassifier::vote(std::span<const std::size_t> idx) const {
@@ -99,7 +83,7 @@ MCB_HOT_PATH Label KnnClassifier::predict_one(std::span<const float> query) cons
 
 std::vector<Label> KnnClassifier::predict(FeatureView x, ThreadPool* pool) const {
   if (!is_fitted()) throw std::logic_error("knn: predict before fit");
-  if (x.cols != dim_) throw std::invalid_argument("knn: query dimension mismatch");
+  if (x.cols != dim()) throw std::invalid_argument("knn: query dimension mismatch");
   // Identical bytes give identical neighbours: search each distinct
   // row once and copy its label to the row's duplicates.
   const RowGroups groups = group_identical_rows(x);
@@ -115,7 +99,7 @@ std::vector<Label> KnnClassifier::predict(FeatureView x, ThreadPool* pool) const
 
 std::vector<std::size_t> KnnClassifier::kneighbors(std::span<const float> query) const {
   if (!is_fitted()) throw std::logic_error("knn: kneighbors before fit");
-  if (query.size() != dim_) throw std::invalid_argument("knn: query dimension mismatch");
+  if (query.size() != dim()) throw std::invalid_argument("knn: query dimension mismatch");
   std::vector<std::size_t> idx;
   std::vector<double> dist;
   top_k(query, idx, dist);
@@ -123,16 +107,16 @@ std::vector<std::size_t> KnnClassifier::kneighbors(std::span<const float> query)
 }
 
 bool KnnClassifier::save(std::ostream& out) const {
-  // Refuse to serialize an unfitted model: it would write dim_ == 0,
+  // Refuse to serialize an unfitted model: it would write dim == 0,
   // which load() rejects — a silent success here just defers the
   // failure to whoever tries to read the file back.
   if (!is_fitted()) return false;
   io::write_header(out, io::kKindKnn);
   io::write_pod(out, static_cast<std::uint64_t>(config_.k));
-  io::write_pod(out, config_.minkowski_p);
-  io::write_pod(out, static_cast<std::uint64_t>(dim_));
+  io::write_pod(out, kMetricP);
+  io::write_pod(out, static_cast<std::uint64_t>(dim()));
   io::write_pod(out, static_cast<std::uint64_t>(n_classes_));
-  io::write_vec(out, train_data_);
+  index_.write_rows(out);
   io::write_vec(out, labels_);
   return static_cast<bool>(out);
 }
@@ -148,11 +132,10 @@ bool KnnClassifier::load(std::istream& in) {
   }
   // Every header field is hostile until proven otherwise. The ctor
   // clamps k == 0 but a file bypasses the ctor: k == 0 would build an
-  // empty TopK whose dist_.back() is UB. p outside [1, inf) breaks the
-  // Minkowski metric axioms (and NaN poisons every comparison).
+  // empty TopK whose dist_.back() is UB. The index serves p = 2 only.
   // dim/n_classes bound downstream allocations before they happen.
   if (k == 0) return false;
-  if (!std::isfinite(minkowski_p) || minkowski_p < 1.0) return false;
+  if (minkowski_p != kMetricP) return false;
   if (dim == 0 || dim > kMaxDim) return false;
   if (n_classes == 0 || n_classes > kMaxClasses) return false;
   // Read into locals and commit only after every check passes, so a
@@ -170,13 +153,12 @@ bool KnnClassifier::load(std::istream& in) {
     // Out-of-range labels would be an OOB write in vote().
     if (l < 0 || static_cast<std::uint64_t>(l) >= n_classes) return false;
   }
+  KnnIndex index;
+  index.build(FeatureView{train_data.data(), labels.size(), static_cast<std::size_t>(dim)});
   config_.k = static_cast<std::size_t>(k);
-  config_.minkowski_p = minkowski_p;
-  dim_ = static_cast<std::size_t>(dim);
   n_classes_ = static_cast<std::size_t>(n_classes);
-  train_data_ = std::move(train_data);
   labels_ = std::move(labels);
-  rebuild_index();
+  index_ = std::move(index);
   return true;
 }
 

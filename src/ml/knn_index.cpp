@@ -5,26 +5,18 @@
 #include <stdexcept>
 
 #include "ml/knn_kernels.hpp"
+#include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/annotations.hpp"
 
 namespace mcb {
 
-void KnnIndex::clear() {
-  stats_ = {};
-  dim_ = 0;
-  points_.clear();
-  norms_.clear();
-  group_offsets_.clear();
-  group_rows_.clear();
-}
-
 void KnnIndex::build(FeatureView data) {
-  clear();
-  if (data.empty()) return;
   if (data.rows > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("knn_index: more rows than 32-bit row ids can address");
   }
+  *this = KnnIndex();
+  if (data.empty()) return;
   dim_ = data.cols;
   const RowGroups groups = group_identical_rows(data);
   const std::size_t nu = groups.distinct.size();
@@ -49,6 +41,20 @@ void KnnIndex::build(FeatureView data) {
 
   stats_.rows = data.rows;
   stats_.unique_rows = nu;
+}
+
+void KnnIndex::write_rows(std::ostream& out) const {
+  std::vector<std::uint32_t> point_of(stats_.rows);
+  for (std::uint32_t u = 0; u < stats_.unique_rows; ++u) {
+    for (std::uint32_t j = group_offsets_[u]; j < group_offsets_[u + 1]; ++j) {
+      point_of[group_rows_[j]] = u;
+    }
+  }
+  io::write_pod(out, static_cast<std::uint64_t>(stats_.rows * dim_));
+  const auto row_bytes = static_cast<std::streamsize>(dim_ * sizeof(float));
+  for (const std::uint32_t u : point_of) {
+    out.write(reinterpret_cast<const char*>(points_.data() + u * dim_), row_bytes);
+  }
 }
 
 MCB_HOT_PATH bool KnnIndex::search(std::span<const float> query, std::size_t k,

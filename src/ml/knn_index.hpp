@@ -1,6 +1,7 @@
 // Exact neighbour search over the unique points of a KNN training
 // matrix (DESIGN.md §11): the only p = 2 neighbour search of
-// KnnClassifier and KnnRegressor.
+// KnnClassifier and KnnRegressor, and the only copy of their training
+// rows — save() expands the unique points back into the original matrix.
 //
 // HPC traces submit the same job text thousands of times (Fugaku jobs
 // arrive in batches of identical jobs, §V-C), and the hashed encoder
@@ -20,7 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -52,7 +55,10 @@ class KnnIndex {
   bool search(std::span<const float> query, std::size_t k, std::vector<std::size_t>& idx,
               std::vector<double>& dist) const;
 
-  void clear();
+  /// Write the indexed matrix exactly as io::write_vec writes its
+  /// rows() x dim() floats: the element count, then every original row
+  /// in row order, expanded from its byte-identical unique point.
+  void write_rows(std::ostream& out) const;
 
  private:
   KnnIndexStats stats_;
@@ -64,5 +70,9 @@ class KnnIndex {
   std::vector<std::uint32_t> group_offsets_;  ///< unique_rows + 1, into group_rows_
   std::vector<std::uint32_t> group_rows_;     ///< original row ids, ascending per group
 };
+
+// The models build an index aside and commit it with a move; that
+// commit must not throw.
+static_assert(std::is_nothrow_move_assignable_v<KnnIndex>);
 
 }  // namespace mcb

@@ -21,15 +21,18 @@ KnnRegressor::KnnRegressor(KnnRegressorConfig config) : config_(config) {
 void KnnRegressor::fit(FeatureView x, std::span<const double> y) {
   if (x.rows != y.size()) throw std::invalid_argument("knn_regressor: rows/targets mismatch");
   if (x.empty()) throw std::invalid_argument("knn_regressor: empty training set");
-  dim_ = x.cols;
-  train_data_.assign(x.data, x.data + x.rows * x.cols);
-  targets_.assign(y.begin(), y.end());
-  index_.build(x);
+  // Build and copy before committing anything, then commit with moves
+  // that cannot throw, so a throw leaves the model as it was.
+  KnnIndex index;
+  index.build(x);
+  std::vector<double> targets(y.begin(), y.end());
+  index_ = std::move(index);
+  targets_ = std::move(targets);
 }
 
 double KnnRegressor::predict_one(std::span<const float> query) const {
   if (!is_fitted()) throw std::logic_error("knn_regressor: predict before fit");
-  if (query.size() != dim_) throw std::invalid_argument("knn_regressor: dimension mismatch");
+  if (query.size() != dim()) throw std::invalid_argument("knn_regressor: dimension mismatch");
   return regress(query);
 }
 
@@ -71,7 +74,7 @@ double KnnRegressor::regress(std::span<const float> query) const {
 
 std::vector<double> KnnRegressor::predict(FeatureView x, ThreadPool* pool) const {
   if (!is_fitted()) throw std::logic_error("knn_regressor: predict before fit");
-  if (x.cols != dim_) throw std::invalid_argument("knn_regressor: dimension mismatch");
+  if (x.cols != dim()) throw std::invalid_argument("knn_regressor: dimension mismatch");
   std::vector<double> out(x.rows, 0.0);
   parallel_for_each(
       pool, 0, x.rows, [&](std::size_t i) { out[i] = regress(x.row(i)); },
@@ -86,8 +89,8 @@ bool KnnRegressor::save(std::ostream& out) const {
   // Serialized as uint8_t: reading an arbitrary file byte into a C++
   // bool is UB for values other than 0/1 (UBSan "invalid bool load").
   io::write_pod(out, static_cast<std::uint8_t>(config_.distance_weighted ? 1 : 0));
-  io::write_pod(out, static_cast<std::uint64_t>(dim_));
-  io::write_vec(out, train_data_);
+  io::write_pod(out, static_cast<std::uint64_t>(dim()));
+  index_.write_rows(out);
   io::write_vec(out, targets_);
   return static_cast<bool>(out);
 }
@@ -115,12 +118,12 @@ bool KnnRegressor::load(std::istream& in) {
   if (targets.empty() || targets.size() * static_cast<std::size_t>(dim) != train_data.size()) {
     return false;
   }
+  KnnIndex index;
+  index.build(FeatureView{train_data.data(), targets.size(), static_cast<std::size_t>(dim)});
   config_.k = static_cast<std::size_t>(k);
   config_.distance_weighted = distance_weighted != 0;
-  dim_ = static_cast<std::size_t>(dim);
-  train_data_ = std::move(train_data);
   targets_ = std::move(targets);
-  index_.build(FeatureView{train_data_.data(), targets_.size(), dim_});
+  index_ = std::move(index);
   return true;
 }
 

@@ -10,7 +10,8 @@
 // The neighbor search is the classifier's p = 2 search outright: the
 // exact unique-point scan of ml/knn_index.hpp with its TopK tie-break
 // (lower row id wins on equal distance), so classifier and regressor
-// pick identical neighbor sets for identical data by construction.
+// pick identical neighbor sets for identical data by construction. As
+// in the classifier, the index is the only copy of the training rows.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,7 @@ class KnnRegressor {
   void fit(FeatureView x, std::span<const double> y);
   bool is_fitted() const noexcept { return !targets_.empty(); }
   std::size_t train_size() const noexcept { return targets_.size(); }
-  std::size_t dim() const noexcept { return dim_; }
+  std::size_t dim() const noexcept { return index_.dim(); }
   const KnnRegressorConfig& config() const noexcept { return config_; }
 
   /// The unique-point index every prediction searches (ready() once fitted).
@@ -54,8 +55,6 @@ class KnnRegressor {
   double regress(std::span<const float> query) const;
 
   KnnRegressorConfig config_;
-  std::size_t dim_ = 0;
-  std::vector<float> train_data_;
   std::vector<double> targets_;
   KnnIndex index_;
 };

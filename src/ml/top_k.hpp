@@ -1,6 +1,5 @@
 // Shared top-k selection buffer for every KNN search (the unique-point
-// index, the general-p Minkowski scan, and the reference scans in
-// tests/reference/).
+// index and the reference scans in tests/reference/).
 //
 // A size-k sorted insertion buffer: k is tiny (default 5) so the shift
 // is cheaper than heap bookkeeping. Candidates are ordered by the pair

@@ -1,11 +1,11 @@
 #include "text/sentence_encoder.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 
 #include "text/tokenizer.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcb {
 
@@ -91,19 +91,6 @@ std::vector<float> SentenceEncoder::encode(std::string_view sentence) const {
   for (std::size_t i = 0; i < config_.dim; ++i) {
     out[i] = static_cast<float>(accum[i] * inv_norm);
   }
-  return out;
-}
-
-std::vector<float> SentenceEncoder::encode_batch(std::span<const std::string> sentences,
-                                                 ThreadPool* pool) const {
-  std::vector<float> out(sentences.size() * config_.dim);
-  parallel_for_each(
-      pool, 0, sentences.size(),
-      [&](std::size_t i) {
-        const auto vec = encode(sentences[i]);
-        std::copy(vec.begin(), vec.end(), out.begin() + static_cast<std::ptrdiff_t>(i * config_.dim));
-      },
-      /*grain=*/16);
   return out;
 }
 

@@ -25,13 +25,10 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace mcb {
-
-class ThreadPool;
 
 struct EncoderConfig {
   std::size_t dim = 384;              ///< matches SBERT all-MiniLM output
@@ -72,11 +69,6 @@ class SentenceEncoder {
 
   /// Encode one sentence into an L2-normalized vector of `dim()` floats.
   std::vector<float> encode(std::string_view sentence) const;
-
-  /// Encode a batch (optionally in parallel) into a row-major matrix
-  /// laid out as out[i * dim() + j].
-  std::vector<float> encode_batch(std::span<const std::string> sentences,
-                                  ThreadPool* pool = nullptr) const;
 
  private:
   void accumulate(std::string_view feature, double weight,

@@ -17,7 +17,9 @@
 //       point, return only kTopKNoRow or in-range row ids.
 //   P4  accept → save → load: a loaded model re-serializes to a stream
 //       the same loader accepts again (loaders accept nothing they
-//       cannot round-trip).
+//       cannot round-trip). KNN models re-save byte for byte: the
+//       stream equals the bytes their load consumed, since the index
+//       expands its unique points back into the original rows.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -57,6 +59,12 @@ void check_neighbor_ids(const std::vector<std::size_t>& idx, std::size_t rows) {
   }
 }
 
+/// The prefix of `bytes` that a successful load read from `in`.
+std::string consumed_bytes(const std::string& bytes, std::istringstream& in) {
+  const std::streampos pos = in.tellg();
+  return pos < 0 ? bytes : bytes.substr(0, static_cast<std::size_t>(pos));
+}
+
 }  // namespace
 
 int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
@@ -88,6 +96,7 @@ int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
       }
       std::ostringstream out;
       check(knn.save(out), "P4 accepted classifier saves");
+      check(out.str() == consumed_bytes(bytes, in), "P4 classifier re-saves byte for byte");
       std::istringstream again(out.str());
       mcb::KnnClassifier reloaded;
       check(reloaded.load(again), "P4 classifier save/load round trip");
@@ -113,6 +122,7 @@ int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
       }
       std::ostringstream out;
       check(reg.save(out), "P4 accepted regressor saves");
+      check(out.str() == consumed_bytes(bytes, in), "P4 regressor re-saves byte for byte");
       std::istringstream again(out.str());
       mcb::KnnRegressor reloaded;
       check(reloaded.load(again), "P4 regressor save/load round trip");

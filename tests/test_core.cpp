@@ -11,6 +11,7 @@
 #include "core/mcbound.hpp"
 #include "core/online_evaluator.hpp"
 #include "core/workflows.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace mcb {
@@ -109,6 +110,41 @@ TEST(EmbeddingCacheEncode, HitsAndMisses) {
   const FeatureMatrix second = encoder.encode_batch(jobs, &cache);
   EXPECT_EQ(cache.stats().hits, 2U);
   EXPECT_EQ(second.storage(), first.storage());
+}
+
+TEST(EmbeddingCacheEncode, RepeatedStringsMatchSingleEncode) {
+  // Recurring jobs: 9 rows, 3 distinct feature strings (job ids differ).
+  const FeatureEncoder encoder;
+  ShardedEmbeddingCache cache(encoder.dim());
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    jobs.push_back(submission(i, "u" + std::to_string(i % 3), "app_" + std::to_string(i % 3)));
+  }
+  const FeatureMatrix m = encoder.encode_batch(jobs, &cache);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto row = m.row(i);
+    EXPECT_EQ(std::vector<float>(row.begin(), row.end()), encoder.encode(jobs[i])) << i;
+  }
+  EXPECT_EQ(cache.size(), 3U);
+  EXPECT_EQ(encoder.encode_batch(jobs).storage(), m.storage());
+  EXPECT_EQ(encoder.encode_batch(jobs, &cache).storage(), m.storage());
+}
+
+TEST(FeatureEncoder, PoolMatchesSerial) {
+  const FeatureEncoder encoder;
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    jobs.push_back(submission(i, "u1", "job_" + std::to_string(i)));
+  }
+  ThreadPool pool(4);
+  const FeatureMatrix serial = encoder.encode_batch(jobs, nullptr, nullptr);
+  EXPECT_EQ(encoder.encode_batch(jobs, nullptr, &pool).storage(), serial.storage());
+  ShardedEmbeddingCache serial_cache(encoder.dim());
+  ShardedEmbeddingCache pool_cache(encoder.dim());
+  EXPECT_EQ(encoder.encode_batch(jobs, &serial_cache, nullptr).storage(), serial.storage());
+  EXPECT_EQ(encoder.encode_batch(jobs, &pool_cache, &pool).storage(), serial.storage());
+  EXPECT_EQ(pool_cache.stats().misses, 64U);
+  EXPECT_EQ(pool_cache.size(), 64U);
 }
 
 TEST(EmbeddingCacheEncode, CachedRowsMatchFreshEncoding) {
@@ -603,6 +639,27 @@ TEST(Config, RetiredKnnIndexKeysAreIgnored) {
   ASSERT_TRUE(config.has_value()) << error;
   EXPECT_EQ(config->knn.k, 7U);
   EXPECT_EQ(config->to_json().dump().find("knn_index"), std::string::npos);
+}
+
+TEST(Config, KnnMetricKeyAcceptsOnlyP2) {
+  // Configs saved by builds that offered general p carry the key: p = 2
+  // still loads, any other value fails naming the key, and the key is
+  // no longer written.
+  std::string error;
+  const auto p2 = FrameworkConfig::from_json(
+      *Json::parse(R"({"model": {"kind": "knn", "knn_k": 7, "knn_minkowski_p": 2}})"), &error);
+  ASSERT_TRUE(p2.has_value()) << error;
+  EXPECT_EQ(p2->knn.k, 7U);
+
+  for (const char* body : {R"({"model": {"knn_minkowski_p": 1.5}})",
+                           R"({"model": {"knn_minkowski_p": 1}})",
+                           R"({"model": {"knn_minkowski_p": "2"}})"}) {
+    error.clear();
+    EXPECT_FALSE(FrameworkConfig::from_json(*Json::parse(body), &error).has_value()) << body;
+    EXPECT_NE(error.find("knn_minkowski_p"), std::string::npos) << body << ": " << error;
+  }
+  const FrameworkConfig defaults;
+  EXPECT_EQ(defaults.to_json().dump().find("knn_minkowski_p"), std::string::npos);
 }
 
 TEST(Config, FileRoundTrip) {

@@ -11,6 +11,7 @@
 #include "core/online_evaluator.hpp"
 #include "roofline/analysis.hpp"
 #include "serve/api.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace mcb {
@@ -81,7 +82,10 @@ TEST_F(IntegrationTest, OnlineKnnReachesPaperBandAndBeatsStaleSettings) {
 TEST_F(IntegrationTest, RandomForestMatchesOrBeatsKnn) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
-  const OnlineEvaluator evaluator(*store_, ch, encoder);
+  // RF draws every tree's seed before its parallel loop, so the pool
+  // changes no tree: both F1 values are bit-identical to a serial run.
+  ThreadPool pool(4);
+  const OnlineEvaluator evaluator(*store_, ch, encoder, &pool);
 
   OnlineEvalConfig rf_config;
   // The paper's best RF setting is alpha = 15 at 25K jobs/day; at the

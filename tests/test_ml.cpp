@@ -2,8 +2,12 @@
 // random forests, KNN, the lookup baseline and model serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -381,9 +385,9 @@ TEST(Knn, KLargerThanTrainingSet) {
   EXPECT_EQ(knn.predict(query.view())[0], 1);
 }
 
-TEST(Knn, MinkowskiP1MatchesManhattanRanking) {
-  // Point A at (0, 3), B at (2, 2): from origin, L2 ranks A closer
-  // (9 < 8? no: A=9, B=8 -> B closer); L1 ranks A (3) closer than B (4).
+TEST(Knn, EuclideanRankingPicksNearestPoint) {
+  // From the origin, A at (0, 3) is 9 away squared and B at (2, 2) is 8:
+  // the Euclidean metric ranks B nearest (L1 would rank A, 3 < 4).
   FeatureMatrix x(2, 2);
   x.row(0)[0] = 0.0F; x.row(0)[1] = 3.0F;  // A, class 0
   x.row(1)[0] = 2.0F; x.row(1)[1] = 2.0F;  // B, class 1
@@ -395,13 +399,6 @@ TEST(Knn, MinkowskiP1MatchesManhattanRanking) {
   KnnClassifier knn_l2(l2);
   knn_l2.fit(x.view(), y);
   EXPECT_EQ(knn_l2.predict(query.view())[0], 1);
-
-  KnnConfig l1;
-  l1.k = 1;
-  l1.minkowski_p = 1.0;
-  KnnClassifier knn_l1(l1);
-  knn_l1.fit(x.view(), y);
-  EXPECT_EQ(knn_l1.predict(query.view())[0], 0);
 }
 
 TEST(Knn, BlobsGeneralization) {
@@ -708,14 +705,17 @@ TEST(ModelHardening, ClassifierRejectsLabelBeyondNClasses) {
   EXPECT_FALSE(knn.is_fitted());
 }
 
-TEST(ModelHardening, ClassifierRejectsBadMinkowskiP) {
+TEST(ModelHardening, ClassifierRejectsMetricOtherThanP2) {
+  // The header's p field survives from builds that served general p;
+  // the index serves p = 2 only, so every other value is rejected.
   const std::vector<float> data{0.0F, 1.0F};
   const std::vector<Label> labels{0, 1};
   for (const double p : {std::numeric_limits<double>::quiet_NaN(),
-                         std::numeric_limits<double>::infinity(), 0.5, -2.0, 0.0}) {
+                         std::numeric_limits<double>::infinity(), 0.5, -2.0, 0.0, 1.0, 3.0}) {
     std::stringstream in(craft_knn_classifier(1, p, 1, 2, data, labels));
     KnnClassifier knn;
     EXPECT_FALSE(knn.load(in)) << "p = " << p;
+    EXPECT_FALSE(knn.is_fitted()) << "p = " << p;
   }
 }
 
@@ -747,6 +747,113 @@ TEST(ModelHardening, ClassifierRejectsEmptyTrainingSet) {
   KnnClassifier knn;
   EXPECT_FALSE(knn.load(in));
   EXPECT_FALSE(knn.is_fitted());
+}
+
+/// Rows for the golden-bytes tests: duplicates (rows 0, 2, 5), two
+/// NaN rows with distinct payloads, a byte-identical NaN repeat (rows 3
+/// and 6), and -0.0 next to 0.0 (equal values, distinct bytes).
+std::vector<float> golden_rows() {
+  const float nan_a = std::bit_cast<float>(0x7FC00001U);
+  const float nan_b = std::bit_cast<float>(0xFFC12345U);
+  return {
+      0.25F,  -1.0F,  // 0
+      nan_a,  2.0F,   // 1
+      0.25F,  -1.0F,  // 2: duplicate of 0
+      nan_b,  2.0F,   // 3: another NaN payload
+      0.0F,   0.0F,   // 4
+      0.25F,  -1.0F,  // 5: duplicate of 0
+      nan_b,  2.0F,   // 6: duplicate of 3
+      -0.0F,  0.0F,   // 7: byte-distinct from 4
+      3.0F,   4.0F,   // 8
+  };
+}
+
+TEST(ModelFiles, KnnClassifierSavesTheParentLayoutByteForByte) {
+  const std::vector<float> data = golden_rows();
+  const std::vector<Label> labels{0, 1, 0, 1, 1, 0, 1, 0, 1};
+  KnnConfig config;
+  config.k = 3;
+  KnnClassifier knn(config);
+  knn.fit(FeatureView{data.data(), labels.size(), 2}, labels);
+  EXPECT_EQ(knn.index().stats().unique_rows, 6U);
+
+  std::ostringstream saved;
+  ASSERT_TRUE(knn.save(saved));
+  // The layout written field by field: header, k, p, dim, n_classes,
+  // the training matrix in row order, the labels.
+  EXPECT_EQ(saved.str(), craft_knn_classifier(3, 2.0, 2, 2, data, labels));
+
+  std::istringstream in(saved.str());
+  KnnClassifier reloaded;
+  ASSERT_TRUE(reloaded.load(in));
+  const FeatureMatrix queries(4, 2, {0.2F, -0.9F, 0.0F, 0.1F, 3.0F, 3.9F, -1.0F, 2.0F});
+  EXPECT_EQ(reloaded.predict(queries.view()), knn.predict(queries.view()));
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    EXPECT_EQ(reloaded.kneighbors(queries.row(i)), knn.kneighbors(queries.row(i))) << i;
+  }
+  std::ostringstream resaved;
+  ASSERT_TRUE(reloaded.save(resaved));
+  EXPECT_EQ(resaved.str(), saved.str());
+}
+
+TEST(ModelFiles, KnnRegressorSavesTheParentLayoutByteForByte) {
+  const std::vector<float> data = golden_rows();
+  const std::vector<double> targets{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0};
+  KnnRegressor reg({.k = 2, .distance_weighted = true});
+  reg.fit(FeatureView{data.data(), targets.size(), 2}, targets);
+
+  std::ostringstream saved;
+  ASSERT_TRUE(reg.save(saved));
+  EXPECT_EQ(saved.str(), craft_knn_regressor(2, 1, 2, data, targets));
+
+  std::istringstream in(saved.str());
+  KnnRegressor reloaded;
+  ASSERT_TRUE(reloaded.load(in));
+  const FeatureMatrix queries(3, 2, {0.2F, -0.9F, 0.0F, 0.1F, 3.0F, 3.9F});
+  EXPECT_EQ(reloaded.predict(queries.view()), reg.predict(queries.view()));
+}
+
+TEST(ModelFiles, CorpusFilesLoadAsPinned) {
+  // Which loader accepts each seed of the fuzz_model_load corpus.
+  // knn_p1.bin is a well-formed classifier with p = 1: only p = 2 is
+  // served, so no loader accepts it.
+  const std::map<std::string, std::string> expected{
+      {"empty.bin", ""},
+      {"flat_forest_valid.bin", "forest"},
+      {"garbage.bin", ""},
+      {"knn_alloc_bomb.bin", ""},
+      {"knn_classifier_duplicates.bin", "knn"},
+      {"knn_classifier_truncated.bin", ""},
+      {"knn_classifier_valid.bin", "knn"},
+      {"knn_huge_classes.bin", ""},
+      {"knn_huge_dim.bin", ""},
+      {"knn_k_zero.bin", ""},
+      {"knn_label_oob.bin", ""},
+      {"knn_nan_p.bin", ""},
+      {"knn_negative_label.bin", ""},
+      {"knn_p1.bin", ""},
+      {"knn_regressor_duplicates.bin", "regressor"},
+      {"knn_regressor_valid.bin", "regressor"},
+      {"legacy_kind4_regressor.bin", ""},
+      {"reg_bad_bool.bin", ""},
+      {"reg_k_zero.bin", ""},
+  };
+  std::map<std::string, std::string> actual;
+  for (const auto& entry : std::filesystem::directory_iterator(MCB_MODEL_CORPUS_DIR)) {
+    std::ifstream file(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    std::string accepted;
+    std::istringstream knn_in(bytes), reg_in(bytes), forest_in(bytes);
+    KnnClassifier knn;
+    KnnRegressor reg;
+    FlatForest forest;
+    if (knn.load(knn_in)) accepted += "knn";
+    if (reg.load(reg_in)) accepted += "regressor";
+    if (forest.load(forest_in)) accepted += "forest";
+    actual[entry.path().filename().string()] = accepted;
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(ModelHardening, RegressorCraftedStreamMatchesSaveFormat) {

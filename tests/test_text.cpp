@@ -8,7 +8,6 @@
 #include "text/sentence_encoder.hpp"
 #include "text/tokenizer.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcb {
 namespace {
@@ -113,29 +112,6 @@ TEST(SentenceEncoder, ZeroDimClampedToOne) {
   cfg.dim = 0;
   const SentenceEncoder encoder(cfg);
   EXPECT_EQ(encoder.dim(), 1U);
-}
-
-TEST(SentenceEncoder, BatchMatchesSingle) {
-  const SentenceEncoder encoder;
-  const std::vector<std::string> sentences{"a b c", "u01,job,48", ""};
-  const auto batch = encoder.encode_batch(sentences);
-  ASSERT_EQ(batch.size(), 3 * encoder.dim());
-  for (std::size_t i = 0; i < sentences.size(); ++i) {
-    const auto single = encoder.encode(sentences[i]);
-    for (std::size_t j = 0; j < encoder.dim(); ++j) {
-      EXPECT_EQ(batch[i * encoder.dim() + j], single[j]);
-    }
-  }
-}
-
-TEST(SentenceEncoder, BatchParallelMatchesSerial) {
-  const SentenceEncoder encoder;
-  std::vector<std::string> sentences;
-  for (int i = 0; i < 64; ++i) sentences.push_back("job_" + std::to_string(i) + ",u1,48");
-  ThreadPool pool(4);
-  const auto serial = encoder.encode_batch(sentences, nullptr);
-  const auto parallel = encoder.encode_batch(sentences, &pool);
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(SentenceEncoder, FieldTokensChangeEmbedding) {
